@@ -24,6 +24,12 @@ per-metric tolerances:
   ``one_sided_reads`` gates downward so the location-cache fast path
   cannot silently stop firing.
 
+The contention and serving drivers are pure functions of the spec, so
+on top of the tolerances each of their cells must also reproduce the
+baseline **exactly** on ``table_digest``, ``span_ns`` and ``committed``:
+any behavioural drift (an interleaving, a tie-break, a shadow-model
+change) fails the gate until the baseline is deliberately reseeded.
+
 A baseline cell missing from the fresh run fails the gate (a silently
 shrunken grid must not turn it green). Cells that only exist in the
 fresh run are reported and skipped — they gate once the baseline is
@@ -87,6 +93,14 @@ SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
 }
 
 
+#: per-section fields a fresh cell must reproduce bit-for-bit (fields a
+#: baseline cell lacks are skipped)
+EXACT_FIELDS: dict[str, tuple[str, ...]] = {
+    "contention": ("table_digest", "span_ns", "committed"),
+    "serving": ("table_digest", "span_ns", "committed"),
+}
+
+
 def cell_label(spec: dict) -> str:
     """Short human label for a cell's spec in gate log lines."""
     if "kind" in spec:
@@ -113,6 +127,17 @@ def compare_cells(
     returns the number of comparisons made."""
     label = cell_label(fresh_cell["spec"])
     compared = 0
+    for path in EXACT_FIELDS.get(section, ()):
+        was = dig(base_cell, path)
+        if was is None:
+            continue
+        compared += 1
+        now = dig(fresh_cell, path)
+        line = f"{section}/{label} {path}: {now!r} vs baseline {was!r} [exact]"
+        if now == was:
+            gate.ok(line)
+        else:
+            gate.fail(line)
     for metric in metrics:
         was = dig(base_cell, metric.path)
         now = dig(fresh_cell, metric.path)

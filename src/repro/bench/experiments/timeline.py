@@ -341,21 +341,16 @@ def _run_contention_timeline(spec: TimelineSpec) -> dict:
     series = WindowSeries(spec.window_ns)
     recorder = FlightRecorder()
     metrics = MetricsRegistry()
-    # the scheduler owns the event hook (per-client attribution feeds the
-    # series through its timeline parameter); wear heat rides the wear
-    # map's own observer so lines are not double counted
-    wear = getattr(built.region, "wear", None)
-    stats = built.region.stats
-    prev_obs = wear.on_record if wear is not None else None
+    # the scheduler observes the region's events (per-client attribution
+    # feeds the series through its timeline parameter); wear heat rides
+    # the wear map's own observers so lines are not double counted
+    region = built.region
+    wear = getattr(region, "wear", None)
 
-    def observe_wear(line: int) -> None:
-        """Chain the previous wear observer, then heat the series."""
-        if prev_obs is not None:
-            prev_obs(line)
-        series.touch("wear_heat", stats.sim_time_ns, line)
+    def heat(line: int) -> None:
+        series.touch("wear_heat", region.clock_ns(), line)
 
-    if wear is not None:
-        wear.on_record = observe_wear
+    handle = wear.observe(heat) if wear is not None else None
     try:
         result = run_concurrent(
             table,
@@ -366,8 +361,8 @@ def _run_contention_timeline(spec: TimelineSpec) -> dict:
             recorder=recorder,
         )
     finally:
-        if wear is not None:
-            wear.on_record = prev_obs
+        if handle is not None:
+            handle.close()
     wear_report = export_wear_metrics(built.region, metrics)
 
     coarse, factor = _rebucket(spec, series)

@@ -1,14 +1,14 @@
 """The deterministic N-client interleaver over the simulated clock.
 
-Real threads would make every run a different run (and under the GIL
-they would not even overlap simulated work); instead each logical
-client is a *step generator* over its op stream, yielding the simulated
-nanoseconds each step consumed, and the scheduler always resumes the
-client with the smallest simulated clock (ties broken by a seeded
-permutation). Context switches therefore happen exactly at
-simulated-clock boundaries and the whole run — interleaving, op
-results, final table bytes — is a pure function of (table, streams,
-seed). DESIGN.md decision 14 spells out the argument.
+The scheduler is a policy on the event kernel
+(:mod:`repro.concurrency.kernel`): each logical client is a *step
+generator* over its op stream, yielding the simulated nanoseconds each
+step consumed, and the kernel always resumes the client with the
+smallest simulated clock (ties broken by a seeded permutation).
+Context switches therefore happen exactly at simulated-clock
+boundaries and the whole run — interleaving, op results, final table
+bytes — is a pure function of (table, streams, seed). DESIGN.md
+decision 14 spells out the argument.
 
 Steps are chosen so the interesting races are observable:
 
@@ -23,11 +23,11 @@ Steps are chosen so the interesting races are observable:
   snapshot — a changed version means a writer committed inside the
   read window and the read retries from scratch.
 
-The scheduler owns per-client cost attribution (a chained
-``MemoryBackend`` event hook tags every write/flush/fence with the
-running client), per-client latency recorders, abort/retry counters
-(mirrored into an optional :class:`~repro.obs.MetricsRegistry`), and a
-shadow model applied in physical commit order: every query is checked
+The scheduler owns per-client cost attribution (an observer on the
+region tags every write/flush/fence with the running client),
+per-client latency recorders, abort/retry counters (mirrored into an
+optional :class:`~repro.obs.MetricsRegistry`), and the kernel's shadow
+oracle applied in physical commit order: every query is checked
 against it at its linearization point and the final table contents
 must equal it exactly — a lost update fails the run rather than
 producing plausible throughput numbers.
@@ -36,20 +36,16 @@ producing plausible throughput numbers.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 
 from repro.bench.workload import LatencyRecorder
+from repro.concurrency.kernel import Kernel, ShadowOracle
 from repro.concurrency.locks import VersionedLockTable, fingerprint_of
-from repro.nvm.memory import NVMRegion
 
 #: simulated ns one failed lock acquisition spin costs (a cacheline ping)
 SPIN_NS = 60.0
 #: simulated ns an aborted optimistic read backs off before retrying
 BACKOFF_NS = 120.0
-#: nominal simulated ns per persist event on backends without a costed
-#: clock (RawBackend) — keeps the interleaver deterministic there too
-RAW_EVENT_NS = 100.0
 #: hard cap on lock spins / read retries per op (a deterministic
 #: scheduler bug would otherwise livelock silently)
 MAX_ATTEMPTS = 100_000
@@ -174,19 +170,19 @@ class _Scheduler:
         self.table = table
         self.region = table.region
         self.streams = streams
-        self.seed = seed
         self.metrics = metrics
         self.timeline = timeline
         self.recorder = recorder
         self.spin_ns = spin_ns
         self.backoff_ns = backoff_ns
         self.locks = VersionedLockTable(table.n_lock_stripes)
-        self.shadow = dict(shadow) if shadow is not None else dict(table.items())
+        self.oracle = ShadowOracle(table, shadow)
         # seed the fingerprint tags from what is actually resident
-        for key in self.shadow:
+        for key in self.oracle.shadow:
             self.locks.fp_add(table.lock_stripes(key)[0], fingerprint_of(key))
         n = len(streams)
-        self.clock = [0.0] * n
+        self.kernel = Kernel(n, seed=seed, salt=0xC10C)
+        self.clock = self.kernel.clock
         self.per_client = [LatencyRecorder() for _ in range(n)]
         self.overall = LatencyRecorder()
         self.client_events = [
@@ -198,50 +194,26 @@ class _Scheduler:
         self.lock_waits = 0
         self.lock_wait_ns = 0.0
         self.fp_skips = 0
-        self.failed_ops = 0
-        self.lost_updates = 0
-        self.check_failures: list[str] = []
-        self._running: int | None = None
-        # only the costed simulator advances sim_time_ns; every other
-        # backend gets the deterministic per-event surrogate clock
-        stats = getattr(self.region, "stats", None)
-        self._stats = stats if isinstance(self.region, NVMRegion) else None
-        self._raw_ns = 0.0
+        self._now = self.region.clock_ns
 
     # ------------------------------------------------------------------
-    # clock + event attribution
+    # event attribution
 
-    def _now(self) -> float:
-        """The region's simulated clock (event-count surrogate on
-        backends without one)."""
-        if self._stats is not None:
-            return float(self._stats.sim_time_ns)
-        return self._raw_ns
-
-    def _hook(self, prev):
-        """Build the chained event hook attributing events to the
-        running client (and, on un-costed backends, charging
-        :data:`RAW_EVENT_NS` per event)."""
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            if prev is not None:
-                prev(kind, addr, size)
-            client = self._running
-            if client is not None:
-                events = self.client_events[client]
-                events[kind] = events.get(kind, 0) + 1
-                if kind == "write":
-                    events["bytes"] += size
-            if self.timeline is not None:
-                self.timeline.record_event(kind, self._now(), addr, size)
-            if self.recorder is not None:
-                self.recorder.record_event(
-                    kind=kind, addr=addr, client=client, t_ns=self._now()
-                )
-            if self._stats is None:
-                self._raw_ns += RAW_EVENT_NS
-
-        return hook
+    def _on_event(self, kind: str, addr: int, size: int) -> None:
+        """Attribute one region event to the running client and feed
+        the attached timeline and flight recorder."""
+        client = self.kernel.running
+        if client is not None:
+            events = self.client_events[client]
+            events[kind] = events.get(kind, 0) + 1
+            if kind == "write":
+                events["bytes"] += size
+        if self.timeline is not None:
+            self.timeline.record_event(kind, self._now(), addr, size)
+        if self.recorder is not None:
+            self.recorder.record_event(
+                kind=kind, addr=addr, client=client, t_ns=self._now()
+            )
 
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a ``ccl.*`` counter in the attached registry (and the
@@ -344,13 +316,7 @@ class _Scheduler:
                 yield self.backoff_ns
                 continue
             # validated: the read linearizes here, against the shadow
-            expected = self.shadow.get(op.key)
-            if found != expected:
-                self.check_failures.append(
-                    f"client {client} query {op.key.hex()}: got "
-                    f"{found.hex() if found else None}, shadow says "
-                    f"{expected.hex() if expected else None}"
-                )
+            self.oracle.check_read(f"client {client} query", op.key, found)
             end = self.clock[client]
             record = CommitRecord(
                 client=client,
@@ -367,55 +333,20 @@ class _Scheduler:
             return
 
     def _apply_write(self, op: ClientOp) -> bool:
-        """Apply one write to the table and the shadow, checking the
-        two models agree (a disagreement on an update is a lost
-        update)."""
+        """Apply one write to the table and the shadow oracle, keeping
+        the fingerprint tags in step with what is resident."""
         table, key = self.table, op.key
-        live = key in self.shadow
         if op.kind == "insert":
             ok = table.insert(key, op.value)
-            if ok:
-                if live:
-                    self.check_failures.append(
-                        f"insert of live key {key.hex()} succeeded"
-                    )
-                else:
-                    self.locks.fp_add(
-                        table.lock_stripes(key)[0], fingerprint_of(key)
-                    )
-                self.shadow[key] = op.value
-            else:
-                self.failed_ops += 1
         elif op.kind == "update":
             ok = table.update(key, op.value)
-            if live:
-                if not ok:
-                    self.lost_updates += 1
-                    self.check_failures.append(
-                        f"update lost live key {key.hex()}"
-                    )
-                else:
-                    self.shadow[key] = op.value
-            else:
-                if ok:
-                    self.check_failures.append(
-                        f"update of dead key {key.hex()} succeeded"
-                    )
-                self.failed_ops += 1
         else:  # delete
             ok = table.delete(key)
-            if ok != live:
-                self.check_failures.append(
-                    f"delete of key {key.hex()} disagrees with the shadow "
-                    f"(deleted={ok}, live={live})"
-                )
-            if ok and live:
-                del self.shadow[key]
-                self.locks.fp_remove(
-                    table.lock_stripes(key)[0], fingerprint_of(key)
-                )
-            if not ok:
-                self.failed_ops += 1
+        live = self.oracle.apply(op, ok)
+        if ok and op.kind == "insert" and not live:
+            self.locks.fp_add(table.lock_stripes(key)[0], fingerprint_of(key))
+        elif ok and op.kind == "delete" and live:
+            self.locks.fp_remove(table.lock_stripes(key)[0], fingerprint_of(key))
         return ok
 
     def _record_latency(self, client: int, record: CommitRecord) -> None:
@@ -448,48 +379,28 @@ class _Scheduler:
             )
 
     # ------------------------------------------------------------------
-    # the interleaver
+    # the run
 
     def run(self) -> ConcurrentRunResult:
-        """Drive every client to completion and run the final checks."""
-        n = len(self.streams)
-        order = list(range(n))
-        random.Random((self.seed << 6) ^ 0xC10C).shuffle(order)
-        priority = {client: rank for rank, client in enumerate(order)}
-        generators = [
-            self._client_gen(client, stream)
-            for client, stream in enumerate(self.streams)
-        ]
-        alive = set(range(n))
-        previous_hook = self.region.event_hook
-        self.region.event_hook = self._hook(previous_hook)
+        """Drive every client to completion on the kernel and run the
+        final checks."""
+        handle = self.region.observe(self._on_event)
         try:
-            while alive:
-                client = min(
-                    alive, key=lambda c: (self.clock[c], priority[c])
-                )
-                self._running = client
-                try:
-                    cost = next(generators[client])
-                except StopIteration:
-                    alive.discard(client)
-                    continue
-                finally:
-                    self._running = None
-                self.clock[client] += cost
+            self.kernel.run(
+                [self._client_gen(c, s) for c, s in enumerate(self.streams)]
+            )
         finally:
-            self.region.event_hook = previous_hook
+            handle.close()
         self._mark_concurrent()
-        self._final_check()
+        oracle = self.oracle
+        oracle.final_check()
         failure_context = None
-        if self.recorder is not None and (
-            self.check_failures or self.lost_updates
-        ):
+        if self.recorder is not None and (oracle.failures or oracle.lost_updates):
             # the shadow oracle tripped: ship the black box with the
             # verdict so the report carries its last-N-ops context
             failure_context = self.recorder.dump()
         return ConcurrentRunResult(
-            n_clients=n,
+            n_clients=len(self.streams),
             ops=sum(len(s) for s in self.streams),
             committed=self.committed,
             per_client=self.per_client,
@@ -500,9 +411,9 @@ class _Scheduler:
             lock_waits=self.lock_waits,
             lock_wait_ns=self.lock_wait_ns,
             fp_skips=self.fp_skips,
-            failed_ops=self.failed_ops,
-            lost_updates=self.lost_updates,
-            check_failures=self.check_failures,
+            failed_ops=oracle.failed_ops,
+            lost_updates=oracle.lost_updates,
+            check_failures=oracle.failures,
             client_events=self.client_events,
             failure_context=failure_context,
         )
@@ -519,25 +430,6 @@ class _Scheduler:
                     other.concurrent = True
                     record.concurrent = True
             active.append(record)
-
-    def _final_check(self) -> None:
-        """Final-state oracle: the table's contents must equal the
-        shadow applied in commit order — anything else is a lost update
-        or a phantom."""
-        final = dict(self.table.items())
-        for key, value in self.shadow.items():
-            got = final.get(key)
-            if got != value:
-                self.lost_updates += 1
-                self.check_failures.append(
-                    f"final state lost key {key.hex()}: expected "
-                    f"{value.hex()}, found {got.hex() if got else None}"
-                )
-        for key in final:
-            if key not in self.shadow:
-                self.check_failures.append(
-                    f"final state has phantom key {key.hex()}"
-                )
 
 
 def run_concurrent(

@@ -31,13 +31,9 @@ reaches identical persistent states — the parity property pinned by
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Protocol, runtime_checkable
 
-try:  # optional acceleration; REPRO_NO_NUMPY=1 disables it explicitly
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as np
 
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
 from repro.nvm.memory import (
@@ -48,7 +44,10 @@ from repro.nvm.memory import (
     NVMRegion,
     SimulatedPowerFailure,
     _U64,
+    crash_lines,
+    unpersisted_runs,
 )
+from repro.nvm.observers import ObserverHandle, ObserverList
 from repro.nvm.stats import MemStats
 
 
@@ -85,6 +84,27 @@ class MemoryBackend(Protocol):
     def stats(self) -> MemStats:
         """Event counters; simulation-free backends keep latency and
         cache counters at zero but still count program-issued events."""
+        ...
+
+    def clock_ns(self) -> float:
+        """The backend's simulated clock in ns. Costed backends report
+        their latency model's ``sim_time_ns``; un-costed ones a
+        deterministic surrogate that advances with every store, flush
+        and fence. Callers use it for deltas and window timestamps."""
+        ...
+
+    # -- observation ---------------------------------------------------
+
+    def observe(self, fn: Callable[[str, int, int], None]) -> ObserverHandle:
+        """Call ``fn(kind, addr, size)`` for every "write" / "flush" /
+        "fence" event, in program order, until the handle is closed.
+        Observers never change the event stream."""
+        ...
+
+    @property
+    def event_hook(self) -> Callable[[str, int, int], None] | None:
+        """Read-only dispatcher over the observers; ``None`` when none
+        is attached (the backends' fast-path test)."""
         ...
 
     # -- allocation ----------------------------------------------------
@@ -296,6 +316,10 @@ SimBackend = NVMRegion
 #: cost, so vectorized scans fall back to the byte-loop path
 _NP_MIN_SCAN = 16
 
+#: simulated ns :meth:`RawBackend.clock_ns` charges per store, flush
+#: and fence (the backend has no latency model of its own)
+_EVENT_NS = 100.0
+
 
 class RawBackend:
     """Simulation-free :class:`MemoryBackend`: the fast path.
@@ -335,38 +359,44 @@ class RawBackend:
         self.abandoned_bytes = 0
         self._crash_countdown: int | None = None
         self._hook: Callable[[str, int, int], None] | None = None
-        # Hot-path gate: True only while an armed crash or an event hook
+        # Hot-path gate: True only while an armed crash or an observer
         # needs per-event bookkeeping. Keeping this a single attribute
         # lets read/write/persist skip two attribute tests per event.
         self._slow = False
+        self._observers = ObserverList()
         # Vectorized-scan views over the volatile image. numpy views
         # share memory with the bytearray (crash()'s in-place reset
-        # keeps them valid); REPRO_NO_NUMPY=1 forces the pure-Python
-        # scan paths, which produce identical results and event counts
-        # (REPRO_NO_NUMPY=0 or empty keeps the accelerated paths, so CI
-        # can matrix over both halves with explicit values).
-        no_numpy = os.environ.get("REPRO_NO_NUMPY", "0") not in ("", "0")
-        self._np = None if no_numpy else _np
-        if self._np is not None:
-            self._np_u8 = self._np.frombuffer(self._volatile, dtype=self._np.uint8)
-            self._np_u64 = (
-                self._np.frombuffer(self._volatile, dtype="<u8", count=size // 8)
-                if size >= 8
-                else None
-            )
-        else:
-            self._np_u8 = self._np_u64 = None
+        # keeps them valid). Short scans, masks beyond the header's low
+        # byte and misaligned geometry take the scalar loops instead,
+        # with identical results and event counts.
+        self._np_u8 = np.frombuffer(self._volatile, dtype=np.uint8)
+        self._np_u64 = (
+            np.frombuffer(self._volatile, dtype="<u8", count=size // 8)
+            if size >= 8
+            else None
+        )
+
+    def observe(self, fn: Callable[[str, int, int], None]) -> ObserverHandle:
+        """Observe every store/flush/fence — same contract as
+        :meth:`NVMRegion.observe`. While any observer is attached the
+        data path leaves its no-observer fast path."""
+        return self._observers.add(fn, self._set_hook)
+
+    def _set_hook(self, hook: Callable[[str, int, int], None] | None) -> None:
+        self._hook = hook
+        self._slow = hook is not None or self._crash_countdown is not None
 
     @property
     def event_hook(self) -> Callable[[str, int, int], None] | None:
-        """Optional observer ``hook(kind, addr, size)`` — same contract
-        as :attr:`NVMRegion.event_hook`."""
+        """The observers' read-only dispatcher (``None`` when none)."""
         return self._hook
 
-    @event_hook.setter
-    def event_hook(self, hook: Callable[[str, int, int], None] | None) -> None:
-        self._hook = hook
-        self._slow = hook is not None or self._crash_countdown is not None
+    def clock_ns(self) -> float:
+        """Surrogate simulated clock: 100 ns per store, flush and fence
+        issued so far (reads are free), so schedulers and samplers stay
+        deterministic on this un-costed backend."""
+        stats = self.stats
+        return _EVENT_NS * (stats.writes + stats.flushes + stats.fences)
 
     def _pre_event(self, kind: str, addr: int, size: int) -> None:
         """Armed-crash tick + observer call, in the simulator's order."""
@@ -536,10 +566,10 @@ class RawBackend:
             )
         found = None
         probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN:
+        if count >= _NP_MIN_SCAN:
             headers = self._np_strided_headers(addr, stride, count)
             if headers is not None:
-                hits = self._np.flatnonzero((headers & mask) == 0)
+                hits = np.flatnonzero((headers & mask) == 0)
                 if hits.size:
                     found = int(hits[0])
                     probed = found + 1
@@ -584,12 +614,12 @@ class RawBackend:
             )
         found = None
         probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN:
+        if count >= _NP_MIN_SCAN:
             match = self._np_match_vector(
                 addr, stride, count, key, mask=mask, key_offset=key_offset
             )
             if match is not None:
-                hits = self._np.flatnonzero(match)
+                hits = np.flatnonzero(match)
                 if hits.size:
                     found = int(hits[0])
                     probed = found + 1
@@ -625,7 +655,6 @@ class RawBackend:
         fast path and the generic 2D view (``mask`` beyond the low
         byte). The common cell layout (8-byte header, 8-byte key,
         8-aligned stride) compares whole key words in one pass."""
-        np = self._np
         if mask >= 256:
             return None
         if len(key) == 8 and key_offset == 8 and not (addr % 8 or stride % 8):
@@ -660,8 +689,7 @@ class RawBackend:
         stats = self.stats
         stats.reads += count
         stats.bytes_read += 8 * count
-        np = self._np
-        if np is not None and count >= _NP_MIN_SCAN and mask < 256:
+        if count >= _NP_MIN_SCAN and mask < 256:
             bits = (
                 self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
             ) != 0
@@ -692,8 +720,7 @@ class RawBackend:
         stats = self.stats
         stats.reads += n
         stats.bytes_read += 8 * n
-        np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256:
+        if n >= _NP_MIN_SCAN and mask < 256:
             index = np.asarray(addrs, dtype=np.intp)
             bits = (self._np_u8[index] & mask) != 0
             return int.from_bytes(
@@ -753,8 +780,7 @@ class RawBackend:
             )
         result = None
         probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN and mask < 256:
-            np = self._np
+        if count >= _NP_MIN_SCAN and mask < 256:
             empty = (
                 self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
             ) == 0
@@ -792,8 +818,7 @@ class RawBackend:
             return None
         found = None
         probed = n
-        np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256:
+        if n >= _NP_MIN_SCAN and mask < 256:
             index = np.asarray(addrs, dtype=np.intp)
             hits = np.flatnonzero((self._np_u8[index] & mask) == 0)
             if hits.size:
@@ -822,14 +847,7 @@ class RawBackend:
         size = key_offset + len(key)
         found = None
         probed = n
-        np = self._np
-        if (
-            np is not None
-            and n >= _NP_MIN_SCAN
-            and mask < 256
-            and len(key) == 8
-            and key_offset == 8
-        ):
+        if n >= _NP_MIN_SCAN and mask < 256 and len(key) == 8 and key_offset == 8:
             index = np.asarray(addrs, dtype=np.intp)
             if not (index % 8).any():
                 occupied = (self._np_u8[index] & mask) != 0
@@ -864,8 +882,7 @@ class RawBackend:
         n = len(pairs)
         if n == 0:
             return []
-        np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256 and key_offset == 8:
+        if n >= _NP_MIN_SCAN and mask < 256 and key_offset == 8:
             keys = [key for _, key in pairs]
             if all(len(key) == 8 for key in keys):
                 index = np.asarray([addr for addr, _ in pairs], dtype=np.intp)
@@ -984,33 +1001,16 @@ class RawBackend:
         """Simulate a power failure with the same word-granular semantics
         as the simulator: for every dirty line the schedule picks which
         modified 8-byte words reach the persistent image."""
-        schedule = schedule or drop_all_schedule()
         self._crash_countdown = None
-        report = CrashReport()
-        line_size = self.line_size
-        for line in sorted(self._dirty):
-            start = line * line_size
-            end = min(start + line_size, self.size)
-            dirty_words = [
-                off
-                for off in range(start, end, ATOMIC_UNIT)
-                if self._volatile[off : off + ATOMIC_UNIT]
-                != self._persistent[off : off + ATOMIC_UNIT]
-            ]
-            if not dirty_words:
-                continue
-            report.dirty_lines += 1
-            persisted = set(schedule.words_persisted(start, dirty_words))
-            for off in dirty_words:
-                if off in persisted:
-                    self._persistent[off : off + ATOMIC_UNIT] = self._volatile[
-                        off : off + ATOMIC_UNIT
-                    ]
-                    report.words_persisted += 1
-                else:
-                    report.words_dropped += 1
+        report = crash_lines(
+            self._volatile,
+            self._persistent,
+            sorted(self._dirty),
+            self._line,
+            self.size,
+            schedule or drop_all_schedule(),
+        )
         self._dirty.clear()
-        self._volatile[:] = self._persistent
         return report
 
     # ------------------------------------------------------------------
@@ -1031,34 +1031,9 @@ class RawBackend:
 
         Only dirty lines can differ, so the scan is bounded by the dirty
         set rather than the region size."""
-        diffs: list[tuple[int, int]] = []
-        run_start: int | None = None
-        line_size = self.line_size
-        prev_line = None
-        for line in sorted(self._dirty):
-            contiguous = prev_line is not None and line == prev_line + 1
-            if not contiguous and prev_line is not None and run_start is not None:
-                # a gap between dirty lines always ends a run
-                end = (prev_line + 1) * line_size
-                diffs.append((run_start, end - run_start))
-                run_start = None
-            start = line * line_size
-            end = min(start + line_size, self.size)
-            for off in range(start, end, ATOMIC_UNIT):
-                same = (
-                    self._volatile[off : off + ATOMIC_UNIT]
-                    == self._persistent[off : off + ATOMIC_UNIT]
-                )
-                if same and run_start is not None:
-                    diffs.append((run_start, off - run_start))
-                    run_start = None
-                elif not same and run_start is None:
-                    run_start = off
-            prev_line = line
-        if run_start is not None:
-            end = min((prev_line + 1) * line_size, self.size)
-            diffs.append((run_start, end - run_start))
-        return diffs
+        return unpersisted_runs(
+            self._volatile, self._persistent, sorted(self._dirty), self._line, self.size
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1122,6 +1097,15 @@ class ShardedBackend:
         """Element-wise sum of every shard's counters (a fresh snapshot;
         mutating it does not affect the shards)."""
         return MemStats.merged_all(s.stats for s in self.shards)
+
+    def clock_ns(self) -> float:
+        """Sum of the shards' simulated clocks."""
+        return sum(s.clock_ns() for s in self.shards)
+
+    def observe(self, fn: Callable[[str, int, int], None]) -> ObserverHandle:
+        """Observe every shard's events (one handle closes them all)."""
+        handles = [s.observe(fn) for s in self.shards]
+        return ObserverHandle(lambda: [h.close() for h in handles])
 
     def crash(
         self,

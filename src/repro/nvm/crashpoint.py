@@ -307,7 +307,7 @@ def record_trace(
             recorder.record_event(index=len(events) + 1, kind=kind, addr=addr)
             events.append(PersistEvent(kind, addr, size))
 
-    backend.event_hook = hook
+    handle = backend.observe(hook)
     op_end_events: list[int] = []
     split_windows: list[tuple[int, int]] = []
     concurrent_windows: list[tuple[int, int]] = []
@@ -342,7 +342,7 @@ def record_trace(
                     events_done=len(events),
                 )
     finally:
-        backend.event_hook = None
+        handle.close()
     return WorkloadTrace(
         events=events,
         op_end_events=op_end_events,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.nvm.cache import CacheConfig, CacheSim
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
 from repro.nvm.latency import PAPER_NVM, LatencyModel
+from repro.nvm.observers import ObserverHandle, ObserverList
 from repro.nvm.stats import MemStats
 from repro.nvm.wear import WearMap
 
@@ -87,6 +88,58 @@ class Allocation:
     size: int
 
 
+def crash_lines(
+    volatile, persistent, lines, line_size: int, size: int, schedule
+) -> CrashReport:
+    """Power-fail both images: in each of ``lines`` (in order), the
+    schedule picks which differing 8-byte words reach the persistent
+    image; the volatile view then becomes the persistent image."""
+    report = CrashReport()
+    for line in lines:
+        start = line * line_size
+        dirty_words = [
+            off
+            for off in range(start, min(start + line_size, size), ATOMIC_UNIT)
+            if volatile[off : off + ATOMIC_UNIT] != persistent[off : off + ATOMIC_UNIT]
+        ]
+        if not dirty_words:
+            continue
+        report.dirty_lines += 1
+        persisted = set(schedule.words_persisted(start, dirty_words))
+        for off in dirty_words:
+            if off in persisted:
+                persistent[off : off + ATOMIC_UNIT] = volatile[off : off + ATOMIC_UNIT]
+                report.words_persisted += 1
+            else:
+                report.words_dropped += 1
+    volatile[:] = persistent
+    return report
+
+
+def unpersisted_runs(
+    volatile, persistent, lines, line_size: int, size: int
+) -> list[tuple[int, int]]:
+    """``(addr, size)`` runs of 8-byte words that differ between the two
+    images, scanning only ``lines`` (ascending line numbers that cover
+    every differing word). Runs join across adjacent lines."""
+    diffs: list[tuple[int, int]] = []
+    run_start = run_end = -1
+    for line in lines:
+        start = line * line_size
+        for off in range(start, min(start + line_size, size), ATOMIC_UNIT):
+            end = off + ATOMIC_UNIT
+            if volatile[off:end] == persistent[off:end]:
+                continue
+            if off != run_end:
+                if run_start >= 0:
+                    diffs.append((run_start, run_end - run_start))
+                run_start = off
+            run_end = min(end, size)
+    if run_start >= 0:
+        diffs.append((run_start, run_end - run_start))
+    return diffs
+
+
 class NVMRegion:
     """A simulated persistent memory region with a cache in front.
 
@@ -114,7 +167,8 @@ class NVMRegion:
         "_crash_countdown",
         "abandoned_bytes",
         "wear",
-        "event_hook",
+        "_observers",
+        "_hook",
         "_prev_line",
         "_fast_line",
     )
@@ -150,12 +204,10 @@ class NVMRegion:
         self.wear: WearMap | None = (
             WearMap(size, self._line) if self.config.track_wear else None
         )
-        #: optional observer called as ``hook(kind, addr, size)`` for
-        #: "write" / "flush" / "fence" events, in program order. Tests
-        #: use it to assert persist *ordering* (e.g. Algorithm 1 flushes
-        #: the key-value bytes before the bitmap store issues); it is
-        #: also the extension point for external trace collection.
-        self.event_hook = None
+        # observers of "write" / "flush" / "fence" events (see
+        # :meth:`observe`); _hook is their derived dispatcher
+        self._hook = None
+        self._observers = ObserverList()
         # sequential-stream prefetcher state: the last line touched; a
         # miss on line N+1 right after touching line N is treated as
         # prefetch-covered (see LatencyModel.prefetch_hit_ns)
@@ -211,6 +263,31 @@ class NVMRegion:
     def line_size(self) -> int:
         """Flush granularity in bytes (the cacheline)."""
         return self._line
+
+    # ------------------------------------------------------------------
+    # observation
+
+    def observe(self, fn) -> ObserverHandle:
+        """Call ``fn(kind, addr, size)`` for every "write" / "flush" /
+        "fence" event, in program order, until the returned handle is
+        closed. Tests use it to assert persist *ordering* (e.g.
+        Algorithm 1 flushes the key-value bytes before the bitmap store
+        issues); tracers, samplers and schedulers attach the same way.
+        Observers never change the simulated event stream."""
+        return self._observers.add(fn, self._set_hook)
+
+    def _set_hook(self, hook) -> None:
+        self._hook = hook
+
+    @property
+    def event_hook(self):
+        """The observers' read-only dispatcher: ``None`` when nothing
+        observes this region."""
+        return self._hook
+
+    def clock_ns(self) -> float:
+        """The region's simulated clock: :attr:`MemStats.sim_time_ns`."""
+        return float(self.stats.sim_time_ns)
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -347,8 +424,8 @@ class NVMRegion:
             self._check_range(addr, size)
         if self._crash_countdown is not None:
             self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("write", addr, size)
+        if self._hook is not None:
+            self._hook("write", addr, size)
         self._touch(addr, size, True)
         stats = self.stats
         stats.writes += 1
@@ -568,8 +645,8 @@ class NVMRegion:
         containing ``addr``. A dirty line pays the NVM write penalty."""
         self._check_range(addr, 1)
         self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("flush", addr, self._line)
+        if self._hook is not None:
+            self._hook("flush", addr, self._line)
         line = addr // self._line
         if self.config.flush_invalidates:
             was_cached, was_dirty = self.cache.flush(line)
@@ -600,8 +677,8 @@ class NVMRegion:
         """Memory fence: orders stores (a no-op for correctness in this
         sequential simulator) and charges its cost."""
         self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("fence", 0, 0)
+        if self._hook is not None:
+            self._hook("fence", 0, 0)
         self.stats.fences += 1
         self.stats.sim_time_ns += self._latency.fence_ns
 
@@ -623,31 +700,15 @@ class NVMRegion:
         volatile view is reset to the persistent image and the cache is
         cold — exactly the state recovery code sees at reboot.
         """
-        schedule = schedule or drop_all_schedule()
         self._crash_countdown = None
-        report = CrashReport()
-        for line in list(self.cache.dirty_lines()):
-            start = line * self._line
-            end = min(start + self._line, self.size)
-            dirty_words = [
-                off
-                for off in range(start, end, ATOMIC_UNIT)
-                if self._volatile[off : off + ATOMIC_UNIT]
-                != self._persistent[off : off + ATOMIC_UNIT]
-            ]
-            if not dirty_words:
-                continue
-            report.dirty_lines += 1
-            persisted = set(schedule.words_persisted(start, dirty_words))
-            for off in dirty_words:
-                if off in persisted:
-                    self._persistent[off : off + ATOMIC_UNIT] = self._volatile[
-                        off : off + ATOMIC_UNIT
-                    ]
-                    report.words_persisted += 1
-                else:
-                    report.words_dropped += 1
-        self._volatile[:] = self._persistent
+        report = crash_lines(
+            self._volatile,
+            self._persistent,
+            list(self.cache.dirty_lines()),
+            self._line,
+            self.size,
+            schedule or drop_all_schedule(),
+        )
         self.cache.invalidate_all()
         self._fast_line = -1
         return report
@@ -668,22 +729,15 @@ class NVMRegion:
     def unpersisted_ranges(self) -> list[tuple[int, int]]:
         """Return ``(addr, size)`` extents where the volatile view and the
         persistent image differ — i.e. data that would be at risk in a
-        crash right now. Useful for durability assertions in tests."""
-        diffs: list[tuple[int, int]] = []
-        run_start: int | None = None
-        for off in range(0, self.size, ATOMIC_UNIT):
-            same = (
-                self._volatile[off : off + ATOMIC_UNIT]
-                == self._persistent[off : off + ATOMIC_UNIT]
-            )
-            if same and run_start is not None:
-                diffs.append((run_start, off - run_start))
-                run_start = None
-            elif not same and run_start is None:
-                run_start = off
-        if run_start is not None:
-            diffs.append((run_start, self.size - run_start))
-        return diffs
+        crash right now. Only lines dirty in the cache can differ, so the
+        scan is bounded by the dirty set rather than the region size."""
+        return unpersisted_runs(
+            self._volatile,
+            self._persistent,
+            sorted(self.cache.dirty_lines()),
+            self._line,
+            self.size,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.nvm.observers import ObserverHandle, ObserverList
+
 
 @dataclass(frozen=True)
 class WearReport:
@@ -60,16 +62,23 @@ class WearMap:
             raise ValueError("size and line_size must be positive")
         self.line_size = line_size
         self._counts = np.zeros((size + line_size - 1) // line_size, dtype=np.int64)
-        #: optional volatile observer called with each recorded line —
-        #: how the window sampler feeds its wear-heat series; purely
-        #: observational, never touches the backend
-        self.on_record: Callable[[int], None] | None = None
+        self._dispatch: Callable[[int], None] | None = None
+        self._observers = ObserverList()
+
+    def observe(self, fn: Callable[[int], None]) -> ObserverHandle:
+        """Call ``fn(line)`` for every recorded medium write until the
+        handle is closed — how the window sampler feeds its wear-heat
+        series; purely observational, never touches the backend."""
+        return self._observers.add(fn, self._set_dispatch)
+
+    def _set_dispatch(self, dispatch: Callable[[int], None] | None) -> None:
+        self._dispatch = dispatch
 
     def record(self, line: int) -> None:
         """Count one medium write of ``line``."""
         self._counts[line] += 1
-        if self.on_record is not None:
-            self.on_record(line)
+        if self._dispatch is not None:
+            self._dispatch(line)
 
     def line_writes(self, line: int) -> int:
         """Write count of one line."""

@@ -43,7 +43,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeseries import (
-    SURROGATE_EVENT_NS,
     WindowSampler,
     WindowSeries,
 )
@@ -52,7 +51,6 @@ from repro.obs.tracer import Tracer
 __all__ = [
     "N_BUCKETS",
     "STATUSES",
-    "SURROGATE_EVENT_NS",
     "Counter",
     "FlightRecorder",
     "Gauge",

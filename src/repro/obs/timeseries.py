@@ -24,12 +24,12 @@ A series is JSON-round-trippable (:meth:`WindowSeries.as_dict` /
 timelines together (:meth:`WindowSeries.chrome_counter_events`).
 
 :class:`WindowSampler` attaches a series to a backend the same way the
-:class:`~repro.obs.Tracer` does — a chained ``event_hook`` plus (when
-the region tracks wear) a chained :class:`~repro.nvm.wear.WearMap`
-observer — and restores both exactly on detach. Sampling reads clocks
-and observes hooks only; it never issues a region event, so the
-simulated event stream is byte-identical with a sampler attached
-(pinned by ``tests/test_timeseries.py``).
+:class:`~repro.obs.Tracer` does — an observer on the backend plus (when
+the region tracks wear) one on its :class:`~repro.nvm.wear.WearMap` —
+and closes exactly those on detach. Sampling reads clocks and observes
+events only; it never issues a region event, so the simulated event
+stream is byte-identical with a sampler attached (pinned by
+``tests/test_timeseries.py``).
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.obs.metrics import Heat, Histogram
-
-#: surrogate simulated ns per persist event on backends without a
-#: costed clock (matches the concurrency scheduler's surrogate)
-SURROGATE_EVENT_NS = 100.0
 
 #: section name per per-window instrument kind, in export order
 _KINDS: tuple[str, ...] = ("counters", "gauges", "histograms", "heats")
@@ -358,101 +354,45 @@ class WindowSeries:
 class WindowSampler:
     """Feeds a :class:`WindowSeries` from a backend's event stream.
 
-    Attaching chains the backend's ``event_hook`` (every shard's, for a
-    sharded backend) exactly like the tracer does, counting ``writes``
-    / ``flushes`` / ``fences`` per window; when a region tracks wear
-    (:class:`~repro.nvm.memory.SimConfig` ``track_wear``), the wear
-    map's observer is chained too and every medium line write lands in
-    the ``wear_heat`` heat channel. :meth:`detach` restores every hook
-    to exactly what it was.
+    Attaching registers an observer on the backend (every shard's, for
+    a sharded backend), counting ``writes`` / ``flushes`` / ``fences``
+    per window; when a region tracks wear
+    (:class:`~repro.nvm.memory.SimConfig` ``track_wear``), its wear map
+    is observed too and every medium line write lands in the
+    ``wear_heat`` heat channel. :meth:`detach` removes exactly these
+    observers, whatever else attached or detached in between.
 
-    The window clock is, in order of preference: an explicit ``clock``
-    callable, the first attached backend's ``stats.sim_time_ns``, or a
-    deterministic per-event surrogate (:data:`SURROGATE_EVENT_NS` per
-    event) for backends without a costed clock.
+    The window clock is the first attached backend's ``clock_ns()``.
     """
 
-    def __init__(
-        self,
-        series: WindowSeries,
-        *,
-        clock: "Callable[[], float] | None" = None,
-    ) -> None:
+    def __init__(self, series: WindowSeries) -> None:
         self.series = series
-        self._clock = clock
-        self._stats: Any = None
-        self._surrogate_ns = 0.0
-        self._attached: list[tuple[Any, Callable | None]] = []
-        self._wear_attached: list[tuple[Any, Callable | None]] = []
-
-    def _now(self) -> float:
-        """Current simulated time for window assignment."""
-        if self._clock is not None:
-            return self._clock()
-        if self._stats is not None:
-            return float(self._stats.sim_time_ns)
-        return self._surrogate_ns
+        self._clock: Callable[[], float] | None = None
+        self._handles: list[Any] = []
 
     def attach(self, backend: Any) -> None:
-        """Start sampling ``backend`` (each shard, when sharded):
-        chain its ``event_hook`` and, where present, its wear map's
-        ``on_record`` observer."""
-        targets = list(backend.shards) if hasattr(backend, "shards") else [backend]
-        for target in targets:
-            prev = target.event_hook
-            target.event_hook = self._chained(prev)
-            self._attached.append((target, prev))
-            if self._stats is None and self._clock is None:
-                stats = getattr(target, "stats", None)
-                if stats is not None and hasattr(stats, "sim_time_ns"):
-                    self._stats = stats
+        """Start sampling ``backend`` and, where present, the wear maps
+        of its regions."""
+        if self._clock is None:
+            self._clock = backend.clock_ns
+        self._handles.append(backend.observe(self._on_event))
+        for target in getattr(backend, "shards", (backend,)):
             wear = getattr(target, "wear", None)
             if wear is not None:
-                prev_obs = wear.on_record
-                wear.on_record = self._chained_wear(prev_obs)
-                self._wear_attached.append((wear, prev_obs))
+                self._handles.append(wear.observe(self._on_wear))
 
     def detach(self) -> None:
-        """Stop sampling: restore every chained hook and wear observer
-        to exactly its pre-:meth:`attach` value."""
-        for target, prev in reversed(self._attached):
-            target.event_hook = prev
-        self._attached.clear()
-        for wear, prev in reversed(self._wear_attached):
-            wear.on_record = prev
-        self._wear_attached.clear()
-        self._stats = None
-
-    def _chained(self, prev: "Callable | None") -> Callable:
-        if prev is None:
-            return self._on_event
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            prev(kind, addr, size)
-            self._on_event(kind, addr, size)
-
-        return hook
-
-    def _chained_wear(self, prev: "Callable | None") -> Callable:
-        if prev is None:
-            return self._on_wear
-
-        def observer(line: int) -> None:
-            prev(line)
-            self._on_wear(line)
-
-        return observer
+        """Stop sampling; every other observer keeps running."""
+        for handle in self._handles:
+            handle.close()
+        self._handles.clear()
+        self._clock = None
 
     def _on_event(self, kind: str, addr: int, size: int) -> None:
-        self.series.record_event(kind, self._now(), addr, size)
-        if self._clock is None and self._stats is None:
-            self._surrogate_ns += SURROGATE_EVENT_NS
+        self.series.record_event(kind, self._clock(), addr, size)
 
     def _on_wear(self, line: int) -> None:
-        self.series.touch("wear_heat", self._now(), line)
+        self.series.touch("wear_heat", self._clock(), line)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WindowSampler(attached={len(self._attached)}, "
-            f"wear={len(self._wear_attached)})"
-        )
+        return f"WindowSampler(observers={len(self._handles)})"

@@ -1,15 +1,16 @@
 """Simulated serving clients: location caching over the routed path.
 
-M logical clients drive one :class:`~repro.serving.router.Router` under
-the same discipline the concurrency layer established (DESIGN.md
-decision 14): each client is a *step generator* yielding the simulated
-nanoseconds its current step consumed, and the driver always resumes
-the client with the smallest simulated clock (ties broken by a seeded
+M logical clients drive one :class:`~repro.serving.router.Router` on
+the event kernel the concurrency layer runs on (DESIGN.md decision
+14): each client is a *step generator* yielding the simulated
+nanoseconds its current step consumed, or :data:`WAIT` while its
+routed request is queued, and the kernel always resumes the client
+with the smallest simulated clock (ties broken by a seeded
 permutation). Doorbell events — batch-full and batch-timer flushes —
-live on a simulated-time heap and are processed before any client whose
-clock has passed them, so the whole run (interleaving, queue contents,
-op results, final table bytes) is a pure function of (table, streams,
-parameters, seed).
+sit on the same heap and run before any client whose clock has passed
+them, so the whole run (interleaving, queue contents, op results,
+final table bytes) is a pure function of (table, streams, parameters,
+seed).
 
 Each client keeps a **location cache**: key → (shard, segment info
 address), fed from the location the router reports with every routed
@@ -23,24 +24,18 @@ never return a wrong value — and a hinted miss invalidates the hint and
 re-routes through the server, whose reply re-primes the cache. Every
 one-sided hit is checked against the shadow model at its linearization
 point (``wrong_answers`` must stay 0), and the final table contents
-must equal the shadow applied in flush order.
+must equal the kernel's shadow oracle applied in flush order.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
-import random
 from dataclasses import dataclass, field
 
 from repro.bench.workload import LatencyRecorder
+from repro.concurrency.kernel import WAIT, Kernel, ShadowOracle
 from repro.concurrency.scheduler import ClientOp
 from repro.serving.netmodel import NetworkModel
 from repro.serving.router import Request, Router, ServedReply
-
-#: sentinel a client generator yields while waiting for a routed reply
-_WAIT = object()
 
 
 @dataclass
@@ -146,13 +141,13 @@ class _ServingDriver:
         )
         self.table = table
         self.streams = streams
-        self.seed = seed
         self.use_cache = location_cache
         self.metrics = metrics
         self.timeline = timeline
-        self.shadow = dict(shadow) if shadow is not None else dict(table.items())
+        self.oracle = ShadowOracle(table, shadow)
         n = len(streams)
-        self.clock = [0.0] * n
+        self.kernel = Kernel(n, seed=seed, salt=0x5E21)
+        self.clock = self.kernel.clock
         self.caches: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(n)]
         self.per_client = [LatencyRecorder() for _ in range(n)]
         self.overall = LatencyRecorder()
@@ -161,17 +156,10 @@ class _ServingDriver:
         self.routed_ops = 0
         self.hint_misses = 0
         self.wrong_answers = 0
-        self.failed_ops = 0
-        self.check_failures: list[str] = []
         spec = table.spec
         self._read_bytes = spec.key_size
         self._write_bytes = spec.key_size + spec.value_size
         self._value_bytes = spec.value_size
-        # the doorbell heap: (time, seq, kind, shard, generation)
-        self._heap: list[tuple[float, int, str, int, int]] = []
-        self._seq = itertools.count()
-        #: reply payload for a client resumed after _WAIT
-        self._pending: dict[int, tuple[bool, bytes | None, tuple | None]] = {}
 
     # ------------------------------------------------------------------
     # client op generators (each yields simulated-ns step costs)
@@ -228,14 +216,14 @@ class _ServingDriver:
     def _submit(self, client: int, op_index: int, op: ClientOp):
         """Enqueue one routed request at the client's current clock and
         schedule whatever doorbell event that produced; the caller
-        yields the returned ``_WAIT`` and blocks until delivery."""
+        yields the returned :data:`WAIT` and blocks until delivery."""
         shard = self.router.shard_of(op.key)
         now = self.clock[client]
         event = self.router.enqueue(shard, Request(client, op_index, op, now))
         self.routed_ops += 1
         if event is not None:
             self._push(event, shard)
-        return _WAIT
+        return WAIT
 
     def _one_sided_probe(
         self, hint: tuple[int, int], key: bytes
@@ -249,71 +237,30 @@ class _ServingDriver:
         if target is None:
             # the segment address no longer names a live segment
             return None, 0.0
-        mark = self.router._shard_clock(shard)
+        clock = self.router.table.backend.shard(shard).clock_ns
+        mark = clock()
         value = target.query(key)
-        return value, self.router._shard_clock(shard) - mark
+        return value, clock() - mark
 
     # ------------------------------------------------------------------
-    # shadow model (applied in execution order)
+    # shadow oracle (applied in execution order)
 
     def _check_one_sided(self, client: int, op: ClientOp, value: bytes) -> None:
         """A one-sided *hit* linearizes at its probe; it must agree with
         the shadow or the staleness protocol is broken."""
-        expected = self.shadow.get(op.key)
-        if value != expected:
+        what = f"client {client} one-sided read"
+        if not self.oracle.check_read(what, op.key, value):
             self.wrong_answers += 1
-            self.check_failures.append(
-                f"client {client} one-sided read {op.key.hex()}: got "
-                f"{value.hex()}, shadow says "
-                f"{expected.hex() if expected else None}"
-            )
 
     def _apply_shadow(self, reply: ServedReply) -> None:
         """Apply one flushed op to the shadow at its linearization point
         (flush execution order) and check the table agreed."""
         op = reply.request.op
-        key = op.key
-        result = reply.result
-        live = key in self.shadow
         if op.kind == "query":
-            expected = self.shadow.get(key)
-            if result != expected:
-                self.check_failures.append(
-                    f"client {reply.request.client} routed query "
-                    f"{key.hex()}: got "
-                    f"{result.hex() if result else None}, shadow says "
-                    f"{expected.hex() if expected else None}"
-                )
-        elif op.kind == "insert":
-            if result:
-                if live:
-                    self.check_failures.append(
-                        f"insert of live key {key.hex()} succeeded"
-                    )
-                self.shadow[key] = op.value
-            else:
-                self.failed_ops += 1
-        elif op.kind == "update":
-            if result and live:
-                self.shadow[key] = op.value
-            elif live:
-                self.check_failures.append(f"update lost live key {key.hex()}")
-            else:
-                if result:
-                    self.check_failures.append(
-                        f"update of dead key {key.hex()} succeeded"
-                    )
-                self.failed_ops += 1
-        elif op.kind == "delete":
-            if bool(result) != live:
-                self.check_failures.append(
-                    f"delete of key {key.hex()} disagrees with the shadow "
-                    f"(deleted={result}, live={live})"
-                )
-            if result and live:
-                del self.shadow[key]
-            if not result:
-                self.failed_ops += 1
+            what = f"client {reply.request.client} routed query"
+            self.oracle.check_read(what, op.key, reply.result)
+        else:
+            self.oracle.apply(op, reply.result)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -354,20 +301,23 @@ class _ServingDriver:
             self.timeline.inc("ops", done)
 
     def _push(self, event: tuple, shard: int) -> None:
-        """Schedule one doorbell event on the simulated-time heap."""
+        """Schedule one doorbell event on the kernel: a batch-full flush,
+        or a timer that fires only if no flush retired its batch."""
         if event[0] == "flush":
-            heapq.heappush(
-                self._heap, (event[1], next(self._seq), "flush", shard, -1)
-            )
-        else:
-            heapq.heappush(
-                self._heap, (event[1], next(self._seq), "timer", shard, event[2])
-            )
+            self.kernel.at(event[1], lambda t: self._flush(shard, t))
+            return
+        generation = event[2]
 
-    def _flush(self, shard: int, now: float, ready: set[int]) -> None:
+        def timer(t: float) -> None:
+            if self.router.timer_valid(shard, generation):
+                self._flush(shard, t)
+
+        self.kernel.at(event[1], timer)
+
+    def _flush(self, shard: int, now: float) -> None:
         """Run one shard flush: execute the batch, apply the shadow in
-        execution order, deliver replies (unblocking their clients at
-        the delivery time) and schedule the shard's next doorbell."""
+        execution order, wake the waiting clients at their delivery
+        times and schedule the shard's next doorbell."""
         replies, followup = self.router.flush(shard, now)
         if followup is not None:
             self._push(followup, shard)
@@ -378,59 +328,19 @@ class _ServingDriver:
                 payload = (True, reply.result, reply.location)
             else:
                 payload = (bool(reply.result), None, reply.location)
-            client = reply.request.client
-            self.clock[client] = reply.delivery_ns
-            self._pending[client] = payload
-            ready.add(client)
+            self.kernel.wake(reply.request.client, reply.delivery_ns, payload)
 
     # ------------------------------------------------------------------
-    # the interleaver
+    # the run
 
     def run(self) -> ServingResult:
-        """Drive every client to completion and run the final check."""
-        n = len(self.streams)
-        order = list(range(n))
-        random.Random((self.seed << 6) ^ 0x5E21).shuffle(order)
-        priority = {client: rank for rank, client in enumerate(order)}
-        generators = [
-            self._client_gen(client, stream)
-            for client, stream in enumerate(self.streams)
-        ]
-        alive = set(range(n))
-        ready = set(range(n))
-        heap = self._heap
-        while alive:
-            if ready:
-                client = min(ready, key=lambda c: (self.clock[c], priority[c]))
-                next_clock = self.clock[client]
-            else:
-                client = None
-                next_clock = math.inf
-            if heap and heap[0][0] <= next_clock:
-                t, _, kind, shard, generation = heapq.heappop(heap)
-                if kind == "timer" and not self.router.timer_valid(
-                    shard, generation
-                ):
-                    continue
-                self._flush(shard, t, ready)
-                continue
-            if client is None:
-                raise RuntimeError(
-                    "serving deadlock: clients blocked with no doorbell armed"
-                )
-            try:
-                step = generators[client].send(self._pending.pop(client, None))
-            except StopIteration:
-                alive.discard(client)
-                ready.discard(client)
-                continue
-            if step is _WAIT:
-                ready.discard(client)
-            else:
-                self.clock[client] += step
-        self._final_check()
+        """Drive every client to completion on the kernel and run the
+        final check."""
+        self.kernel.run([self._client_gen(c, s) for c, s in enumerate(self.streams)])
+        oracle = self.oracle
+        oracle.final_check()
         return ServingResult(
-            n_clients=n,
+            n_clients=len(self.streams),
             ops=sum(len(s) for s in self.streams),
             committed=self.committed,
             per_client=self.per_client,
@@ -440,29 +350,12 @@ class _ServingDriver:
             routed_ops=self.routed_ops,
             hint_misses=self.hint_misses,
             wrong_answers=self.wrong_answers,
-            failed_ops=self.failed_ops,
+            failed_ops=oracle.failed_ops,
             flushes=self.router.flushes,
             batched_ops=self.router.batched_ops,
             max_queue_depth=self.router.max_queue_depth,
-            check_failures=self.check_failures,
+            check_failures=oracle.failures,
         )
-
-    def _final_check(self) -> None:
-        """Final-state oracle: the table's contents must equal the
-        shadow applied in flush order."""
-        final = dict(self.table.items())
-        for key, value in self.shadow.items():
-            got = final.get(key)
-            if got != value:
-                self.check_failures.append(
-                    f"final state lost key {key.hex()}: expected "
-                    f"{value.hex()}, found {got.hex() if got else None}"
-                )
-        for key in final:
-            if key not in self.shadow:
-                self.check_failures.append(
-                    f"final state has phantom key {key.hex()}"
-                )
 
 
 def run_serving(

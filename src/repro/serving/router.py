@@ -13,15 +13,15 @@ server-side batching inherits exactly the write-combining the batch
 layer already proves out, and its benefit shows up as lower simulated
 service time per op.
 
-Service time is metered on the shard's own simulated clock (per-shard
-``sim_time_ns`` deltas on costed backends, the deterministic per-event
-surrogate otherwise), and shards are sequential servers: a flush starts
+Service time is metered as deltas of the shard backend's
+``clock_ns()``, and shards are sequential servers: a flush starts
 at ``max(doorbell time, busy_until)`` and pushes ``busy_until`` to its
 end, so queueing delay under load is modelled rather than assumed away.
 
 The router never owns time — the serving driver
-(:func:`repro.serving.client.run_serving`) processes doorbell events in
-simulated-time order and calls :meth:`Router.flush`. All telemetry
+(:func:`repro.serving.client.run_serving`) schedules its doorbell
+events on the event kernel and calls :meth:`Router.flush` when they
+fire. All telemetry
 (queue-depth gauges, batch-size and service-time histograms, flush
 counters) goes to an optional :class:`~repro.obs.MetricsRegistry` and
 per-window :class:`~repro.obs.WindowSeries`; attaching them changes
@@ -33,8 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.concurrency.scheduler import RAW_EVENT_NS, ClientOp
-from repro.nvm.memory import NVMRegion
+from repro.concurrency.scheduler import ClientOp
 from repro.serving.netmodel import NetworkModel
 
 
@@ -116,25 +115,6 @@ class Router:
         self.max_queue_depth = 0
         # value payload size for response messages (one spec per table)
         self._value_bytes = table.spec.value_size
-        # costed shards meter service on their region's simulated clock;
-        # others get the deterministic per-event surrogate
-        self._costed = [
-            isinstance(table.backend.shard(i), NVMRegion) for i in range(n)
-        ]
-
-    # ------------------------------------------------------------------
-    # shard clocks
-
-    def _shard_clock(self, shard: int) -> float:
-        """The shard backend's simulated clock (event-count surrogate on
-        backends without one) — used only as deltas, so mixing shards is
-        fine."""
-        stats = self.table.backend.shard(shard).stats
-        if self._costed[shard]:
-            return float(stats.sim_time_ns)
-        return RAW_EVENT_NS * (
-            stats.reads + stats.writes + stats.flushes + stats.fences
-        )
 
     # ------------------------------------------------------------------
     # queueing
@@ -234,11 +214,12 @@ class Router:
     def _execute(self, shard: int, run: list[Request]) -> tuple[list, float]:
         """Run one maximal same-kind run through the shard table's batch
         API (scalar fallback where the table type lacks one), metering
-        its simulated cost via the shard clock. Returns (results,
+        its simulated cost via the shard's clock. Returns (results,
         simulated service ns)."""
         table = self.table.tables[shard]
+        clock = self.table.backend.shard(shard).clock_ns
         kind = run[0].op.kind
-        mark = self._shard_clock(shard)
+        mark = clock()
         if kind == "query":
             keys = [r.op.key for r in run]
             if hasattr(table, "get_many"):
@@ -261,7 +242,7 @@ class Router:
                 out = [table.delete(k) for k in keys]
         else:
             raise ValueError(f"unknown op kind {kind!r}")
-        return out, self._shard_clock(shard) - mark
+        return out, clock() - mark
 
     # ------------------------------------------------------------------
     # control plane

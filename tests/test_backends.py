@@ -134,10 +134,10 @@ def test_raw_event_hook_observes_events():
     r = make_raw(1 << 12)
     addr = r.alloc(64, align=64)
     events = []
-    r.event_hook = lambda kind, a, s: events.append(kind)
+    handle = r.observe(lambda kind, a, s: events.append(kind))
     r.write(addr, b"a" * 8)
     r.persist(addr, 8)
-    r.event_hook = None
+    handle.close()
     r.write(addr, b"b" * 8)  # not observed
     assert events == ["write", "flush", "fence"]
 
@@ -520,7 +520,7 @@ def test_runspec_raw_backend_runs_workload():
 
 
 # ----------------------------------------------------------------------
-# event_hook semantics across backends (observability satellite)
+# observer semantics across backends (observability satellite)
 
 
 def record_hook(log, tag=None):
@@ -541,8 +541,8 @@ def test_event_hook_sequence_parity_sim_vs_raw(scheme):
     sim_table = make_table(scheme, sim_region)
     raw_table = make_table(scheme, raw_region)
     sim_events, raw_events = [], []
-    sim_region.event_hook = record_hook(sim_events)
-    raw_region.event_hook = record_hook(raw_events)
+    sim_region.observe(record_hook(sim_events))
+    raw_region.observe(record_hook(raw_events))
     drive(sim_table, 100, seed=9)
     drive(raw_table, 100, seed=9)
     assert sim_events, "hook never fired"
@@ -556,7 +556,7 @@ def test_event_hook_sequence_parity_sharded_sim_vs_raw():
         st = ShardedTable(512, n_shards=2, backend_factory=factory, seed=7)
         events = []
         for i in range(st.n_shards):
-            st.backend.shard(i).event_hook = record_hook(events, tag=i)
+            st.backend.shard(i).observe(record_hook(events, tag=i))
         for k, v in random_items(80, seed=21):
             st.insert(k, v)
             st.query(k)
@@ -572,7 +572,7 @@ def test_event_hook_kinds_and_sizes():
     r = make_raw(1 << 12)
     addr = r.alloc(64, align=64)
     events = []
-    r.event_hook = record_hook(events)
+    r.observe(record_hook(events))
     r.write(addr, b"x" * 8)
     r.persist(addr, 8)
     kinds = [e[0] for e in events]
@@ -586,11 +586,11 @@ def test_event_hook_uninstall_restores_raw_fast_path():
     addr = r.alloc(64, align=64)
     assert r._slow is False
     events = []
-    r.event_hook = record_hook(events)
+    handle = r.observe(record_hook(events))
     assert r._slow is True
     r.write_u64(addr, 1)
     assert events
-    r.event_hook = None
+    handle.close()
     n = len(events)
     r.write_u64(addr, 2)
     r.persist(addr, 8)
@@ -604,12 +604,12 @@ def test_event_hook_uninstall_stops_deliveries_on_sim():
     region = small_region()
     addr = region.alloc(64, align=64)
     events = []
-    region.event_hook = record_hook(events)
+    handle = region.observe(record_hook(events))
     region.write_u64(addr, 1)
     region.persist(addr, 8)
     n = len(events)
     assert n == 3
-    region.event_hook = None
+    handle.close()
     region.write_u64(addr, 2)
     region.persist(addr, 8)
     assert len(events) == n

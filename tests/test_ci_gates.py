@@ -221,6 +221,36 @@ def test_perf_gate_serving_catches_dead_fast_path(tmp_path, capsys):
     assert "one_sided_reads" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "section, dump", [("contention", _contention_dump), ("serving", _serving_dump)]
+)
+def test_perf_gate_exact_fields_catch_one_character_digest_drift(
+    tmp_path, capsys, section, dump
+):
+    base = dump()
+    base[section]["cells"][0].update(
+        table_digest="ab" * 32, span_ns=51280.0, committed=200
+    )
+    fresh = json.loads(json.dumps(base))
+    assert _run(tmp_path, fresh, base) == 0
+    # every relative metric is untouched; one digest character moved
+    fresh[section]["cells"][0]["table_digest"] = "ab" * 31 + "ac"
+    assert _run(tmp_path, fresh, base) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: {section}/" in out and "table_digest" in out
+    assert "[exact]" in out
+
+
+def test_perf_gate_exact_fields_cover_span_and_committed(tmp_path, capsys):
+    base = _contention_dump()
+    base["contention"]["cells"][0].update(span_ns=51280.0, committed=200)
+    for field, moved in (("span_ns", 51280.000001), ("committed", 199)):
+        fresh = json.loads(json.dumps(base))
+        fresh["contention"]["cells"][0][field] = moved
+        assert _run(tmp_path, fresh, base) == 1
+        assert f"{field}: " in capsys.readouterr().out
+
+
 def test_perf_gate_reports_missing_baseline_file(tmp_path, capsys):
     fresh_path = tmp_path / "fresh.json"
     fresh_path.write_text(json.dumps(_contention_dump()))

@@ -175,11 +175,11 @@ def test_directory_swing_is_exactly_one_8_byte_persist():
         splits, doublings = table.splits, table.doublings
         base, n = table._dir_base, 1 << table.global_depth
         events.clear()
-        region.event_hook = lambda kind, addr, size: events.append(
-            (kind, addr, size)
+        handle = region.observe(
+            lambda kind, addr, size: events.append((kind, addr, size))
         )
         assert table.insert(k, v)
-        region.event_hook = None
+        handle.close()
         if table.splits > splits and table.doublings == doublings:
             break
     after_entries = table.directory_entries()
@@ -215,11 +215,11 @@ def test_root_swing_on_doubling_is_one_8_byte_persist():
     stream = iter(random_items(400, seed=12))
     while table.doublings == 0:
         k, v = next(stream)
-        region.event_hook = lambda kind, addr, size: events.append(
-            (kind, addr, size)
+        handle = region.observe(
+            lambda kind, addr, size: events.append((kind, addr, size))
         )
         assert table.insert(k, v)
-        region.event_hook = None
+        handle.close()
         if table.doublings == 0:
             events.clear()
     root_writes = [
@@ -268,15 +268,14 @@ def test_mid_split_crash_recovers_old_or_new_state():
     old_depth = table.global_depth
     old_entries = table.directory_entries()
     events = 0
-    region.event_hook = lambda *a: None
 
     def count(kind, addr, size):
         nonlocal events
         events += 1
 
-    region.event_hook = count
+    handle = region.observe(count)
     table.insert(key, value)
-    region.event_hook = None
+    handle.close()
     new_depth = table.global_depth
     new_entries = table.directory_entries()
     assert events > 0

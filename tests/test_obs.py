@@ -251,7 +251,7 @@ def test_tracer_chains_and_restores_existing_hook():
     region = small_region()
     addr = region.alloc(64, align=64)
     seen = []
-    region.event_hook = lambda kind, a, s: seen.append(kind)
+    region.observe(lambda kind, a, s: seen.append(kind))
     prior = region.event_hook
     tracer = Tracer(region)
     with tracer.span("s"):

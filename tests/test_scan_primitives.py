@@ -1,23 +1,25 @@
-"""Three-way parity for the vectorized scan primitives.
+"""Parity for the vectorized scan primitives.
 
-Every bulk-probe primitive has three implementations: the simulator's
-read-loop reference (:class:`NVMRegion`), the raw backend's numpy fast
-path, and the raw backend's pure-Python fallback (``REPRO_NO_NUMPY=1``).
-The contract is that all three return identical results **and** charge
-identical access counts (``reads`` / ``bytes_read``) — an accelerated
-scan must account like the reference loop it replaces, or the paper's
-simulated event counts would silently drift with the host's numpy
-availability.
+Every bulk-probe primitive has the simulator's read-loop reference
+(:class:`NVMRegion`) and the raw backend's implementation, which takes
+a numpy fast path or, for short scans, masks beyond the header's low
+byte and misaligned geometry, a scalar loop. The contract is that both
+paths return the reference's results **and** charge identical access
+counts (``reads`` / ``bytes_read``) — an accelerated scan must account
+like the reference loop it replaces, or the paper's simulated event
+counts would silently drift with the input's shape.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from tests.conftest import small_region
 
+import repro.nvm.backend as backend_module
 from repro import RawBackend
 
 STRIDE = 32
@@ -27,11 +29,13 @@ KEY_SIZE = 8
 BASE = 4096
 
 
-def _fill(backend, occupied_mod: int = 3, dup_every: int = 11) -> None:
+def _fill(
+    backend, occupied_mod: int = 3, dup_every: int = 11, base=BASE, stride=STRIDE
+) -> None:
     """Deterministic cell array: cell i occupied iff i % occupied_mod,
     key = i (with a duplicate key every ``dup_every`` cells)."""
     for i in range(COUNT):
-        addr = BASE + i * STRIDE
+        addr = base + i * stride
         if i % occupied_mod:
             backend.write_u64(addr, 1 | (i << 8))
             k = (i // dup_every) * dup_every if i % dup_every == 0 else i
@@ -40,19 +44,12 @@ def _fill(backend, occupied_mod: int = 3, dup_every: int = 11) -> None:
             backend.write_u64(addr, i << 8)  # mask bit clear, junk above
 
 
-def _backends(monkeypatch):
-    """(label, backend) triples: sim reference, raw+numpy, raw pure."""
-    sim = small_region()
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    fast = RawBackend(4 << 20)
-    assert fast._np is not None, "numpy must be available in this image"
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    pure = RawBackend(4 << 20)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert pure._np is None
-    for b in (sim, fast, pure):
-        _fill(b)
-    return [("sim", sim), ("raw-numpy", fast), ("raw-pure", pure)]
+def _backends(**fill):
+    """(label, backend) pairs: sim reference, raw."""
+    sim, raw = small_region(), RawBackend(4 << 20)
+    for b in (sim, raw):
+        _fill(b, **fill)
+    return [("sim", sim), ("raw", raw)]
 
 
 def _counts(backend):
@@ -79,8 +76,8 @@ def key_of(i: int) -> bytes:
     return i.to_bytes(KEY_SIZE, "little")
 
 
-def test_scan_clear_u64_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_clear_u64_parity():
+    backends = _backends()
     first_clear = _assert_parity(
         backends, lambda b: b.scan_clear_u64(BASE, STRIDE, COUNT)
     )
@@ -97,8 +94,8 @@ def test_scan_clear_u64_parity(monkeypatch):
     _assert_parity(backends, lambda b: b.scan_clear_u64(BASE + STRIDE, STRIDE, 2))
 
 
-def test_scan_match_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_parity():
+    backends = _backends()
     hit = _assert_parity(
         backends,
         lambda b: b.scan_match(
@@ -118,8 +115,8 @@ def test_scan_match_parity(monkeypatch):
     )
 
 
-def test_scan_occupied_bitmap_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_occupied_bitmap_parity():
+    backends = _backends()
     bitmap = _assert_parity(
         backends, lambda b: b.scan_occupied_bitmap(BASE, STRIDE, COUNT)
     )
@@ -127,8 +124,8 @@ def test_scan_occupied_bitmap_parity(monkeypatch):
     assert bitmap == expected
 
 
-def test_gather_primitives_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_gather_primitives_parity():
+    backends = _backends()
     # scattered, deliberately unsorted address list (mix of occupancy)
     idxs = [5, 0, 17, 3, 30, 12, 9]
     addrs = [BASE + i * STRIDE for i in idxs]
@@ -151,8 +148,8 @@ def test_gather_primitives_parity(monkeypatch):
     )
 
 
-def test_scan_match_many_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_many_parity():
+    backends = _backends()
     keys = [key_of(4), key_of(0), key_of(25), key_of(99), key_of(4)]
     result = _assert_parity(
         backends,
@@ -163,8 +160,8 @@ def test_scan_match_many_parity(monkeypatch):
     assert result == [4, None, 25, None, 4]
 
 
-def test_scan_probe_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_probe_parity():
+    backends = _backends()
     # match before any empty cell (start at cell 1, occupied)
     assert _assert_parity(
         backends,
@@ -191,8 +188,8 @@ def test_scan_probe_parity(monkeypatch):
     )
 
 
-def test_scan_match_pairs_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_pairs_parity():
+    backends = _backends()
     pairs = [
         (BASE + 7 * STRIDE, key_of(7)),  # occupied, right key
         (BASE + 7 * STRIDE, key_of(8)),  # occupied, wrong key
@@ -206,16 +203,11 @@ def test_scan_match_pairs_parity(monkeypatch):
 
 
 @pytest.mark.parametrize("key_size", [8, 12])
-def test_fuzz_parity(monkeypatch, key_size):
+def test_fuzz_parity(key_size):
     """Randomized occupancy/keys/windows across every primitive; the
     12-byte key exercises the generic (non-u64) raw fast path."""
     rng = random.Random(0xF00D + key_size)
-    sim = small_region()
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    fast = RawBackend(4 << 20)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    pure = RawBackend(4 << 20)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
+    sim, raw = small_region(), RawBackend(4 << 20)
     stride = 8 + ((key_size + 7) // 8) * 8 + 8
     count = 64
     keys = []
@@ -224,10 +216,10 @@ def test_fuzz_parity(monkeypatch, key_size):
         header = rng.choice([0, 1]) | (rng.getrandbits(32) << 8)
         key = rng.getrandbits(8 * key_size).to_bytes(key_size, "little")
         keys.append(key)
-        for b in (sim, fast, pure):
+        for b in (sim, raw):
             b.write_u64(addr, header)
             b.write(addr + 8, key)
-    backends = [("sim", sim), ("raw-numpy", fast), ("raw-pure", pure)]
+    backends = [("sim", sim), ("raw", raw)]
     for _ in range(40):
         start = rng.randrange(count)
         n = rng.randrange(1, count - start + 1)
@@ -255,12 +247,76 @@ def test_fuzz_parity(monkeypatch, key_size):
         )
 
 
-def test_no_numpy_env_flag(monkeypatch):
-    """The fallback flag is honoured at construction time."""
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert RawBackend(1 << 16)._np is None
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert RawBackend(1 << 16)._np is not None
-    # unset (not just falsy) also enables the fast path
-    monkeypatch.setenv("REPRO_NO_NUMPY", "")
-    assert RawBackend(1 << 16)._np is not None
+class _NoNumpyScan:
+    """Stand-in for the backend's numpy module that fails the test on
+    any function a vectorized scan computes its answer with, proving a
+    call ran on the scalar loop (cheap probes such as ``asarray`` on
+    the way to the loop pass through)."""
+
+    _SCAN_FUNCTIONS = frozenset({"flatnonzero", "packbits", "frombuffer", "lib"})
+
+    def __getattr__(self, name):
+        if name in self._SCAN_FUNCTIONS:
+            raise AssertionError(f"numpy.{name} used on a scalar-loop input")
+        return getattr(np, name)
+
+
+def _calls(base, stride, count, mask):
+    """Every primitive, by name, as a call on one scan geometry."""
+    keys = [key_of(i) for i in (4, 0, 25, 99, 7)]
+    # a scattered gather list as long as the strided scans
+    addrs = [base + (7 * i) % COUNT * stride for i in range(count)]
+    pairs = [(a, keys[i % len(keys)]) for i, a in enumerate(addrs)]
+    return {
+        "scan_clear_u64": lambda b: b.scan_clear_u64(base, stride, count, mask),
+        "scan_occupied_bitmap": lambda b: b.scan_occupied_bitmap(
+            base, stride, count, mask
+        ),
+        "scan_occupied_at": lambda b: b.scan_occupied_at(addrs, mask),
+        "scan_clear_at": lambda b: b.scan_clear_at(addrs, mask),
+        "scan_match": lambda b: [
+            b.scan_match(base, stride, count, k, mask=mask) for k in keys
+        ],
+        "scan_probe": lambda b: [
+            b.scan_probe(base, stride, count, k, mask=mask) for k in keys
+        ],
+        "scan_match_at": lambda b: [b.scan_match_at(addrs, k, mask=mask) for k in keys],
+        "scan_match_many": lambda b: b.scan_match_many(
+            base, stride, count, keys, mask=mask
+        ),
+        "scan_match_pairs": lambda b: b.scan_match_pairs(pairs, mask=mask),
+    }
+
+
+ALL_PRIMITIVES = frozenset(_calls(BASE, STRIDE, 1, 1))
+
+#: inputs that select the raw backend's scalar loops: (scan base,
+#: stride, count, mask) and the primitives that loop on it — scans
+#: shorter than the numpy cutoff, a mask beyond the header's low byte
+#: (the u64 header view still vectorizes that for scan_clear_u64), and
+#: cells off the 8-byte grid (which defeats the u64 views)
+SCALAR_CASES = {
+    "short": ((BASE, STRIDE, 9, 1), ALL_PRIMITIVES),
+    "wide-mask": (
+        (BASE, STRIDE, COUNT, 1 << 8),
+        ALL_PRIMITIVES - {"scan_clear_u64"},
+    ),
+    "misaligned": (
+        (BASE + 4, STRIDE + 4, COUNT, 1),
+        {"scan_clear_u64", "scan_match_at", "scan_match_pairs"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+def test_scalar_loop_parity(monkeypatch, case):
+    """Every primitive matches the sim reference, result and access
+    counts, on inputs the raw backend answers with its scalar loops —
+    and those primitives provably compute nothing with numpy there."""
+    (base, stride, count, mask), scalar = SCALAR_CASES[case]
+    backends = _backends(base=base, stride=stride)
+    for name, call in sorted(_calls(base, stride, count, mask).items()):
+        with monkeypatch.context() as patch:
+            if name in scalar:
+                patch.setattr(backend_module, "np", _NoNumpyScan())
+            _assert_parity(backends, call)
