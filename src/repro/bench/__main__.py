@@ -212,22 +212,24 @@ def main(argv: list[str] | None = None) -> int:
             # the Chrome trace goes to its own file (it is an artifact
             # for a viewer, not part of the structured report)
             payload = {k: v for k, v in payload.items() if k != "chrome_trace"}
-            # default scratch artifacts land under the gitignored out/
-            # directory, never at the repo root; suffix with the
-            # experiment name when several in one run emit traces
-            if args.json and len(names) == 1:
-                trace_path = os.path.splitext(args.json)[0] + ".trace.json"
-            elif args.json:
-                trace_path = os.path.splitext(args.json)[0] + f".{name}.trace.json"
-            else:
-                os.makedirs("out", exist_ok=True)
-                trace_path = os.path.join("out", f"{name}.trace.json")
+            trace_path = _sidecar_path(args.json, len(names), name, "trace")
             with open(trace_path, "w") as fh:
                 json.dump(result.data["chrome_trace"], fh)
             print(
                 f"  [chrome trace written to {trace_path} — load it in "
                 "chrome://tracing or Perfetto]"
             )
+        cells = payload.get("cells")
+        if args.json and cells and "timeline" in cells[0]:
+            # per-cell timelines are ungated artifacts too: they go next
+            # to the dump, which keeps the shape of the gated baselines
+            kept = [{k: v for k, v in c.items() if k != "timeline"} for c in cells]
+            payload = dict(payload, cells=kept)
+            timelines = [{"spec": c["spec"], "timeline": c["timeline"]} for c in cells]
+            timeline_path = _sidecar_path(args.json, len(names), name, "timeline")
+            with open(timeline_path, "w") as fh:
+                json.dump(_jsonable(timelines), fh)
+            print(f"  [per-cell timelines written to {timeline_path}]")
         dump[name] = _jsonable(payload)
     if eng.cache:
         print(
@@ -247,6 +249,21 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(dump, fh, indent=2)
         print(f"\nstructured results written to {args.json}")
     return 0
+
+
+def _sidecar_path(
+    json_path: str | None, n_experiments: int, name: str, kind: str
+) -> str:
+    """Where an experiment's ``kind`` artifact goes: next to the
+    ``--json`` dump (suffixed with the experiment name when one run
+    dumps several), else under the gitignored ``out/`` directory, never
+    at the repo root."""
+    if json_path and n_experiments == 1:
+        return os.path.splitext(json_path)[0] + f".{kind}.json"
+    if json_path:
+        return os.path.splitext(json_path)[0] + f".{name}.{kind}.json"
+    os.makedirs("out", exist_ok=True)
+    return os.path.join("out", f"{name}.{kind}.json")
 
 
 def _jsonable(value):

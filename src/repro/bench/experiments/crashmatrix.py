@@ -5,9 +5,9 @@ because its persist ordering makes every crash recoverable. This driver
 turns that argument into a measured artifact: for each campaign cell —
 a (scheme, backend, shard layout, workload, subset budget) tuple frozen
 as a :class:`CrashMatrixSpec` — it records the persistence event log of
-a deterministic workload and replays it once per crash boundary and
-per word-survival schedule, recovering and checking the three oracles
-of :mod:`repro.nvm.crashpoint` each time.
+a deterministic workload and power-fails it at every crash boundary
+under every word-survival schedule, recovering and checking the three
+oracles of :mod:`repro.nvm.crashpoint` each time.
 
 Cells run through the bench :class:`~repro.bench.engine.Engine`, so a
 campaign deduplicates, fans out across ``--jobs`` workers, and caches:
@@ -249,8 +249,8 @@ def build_concurrent_workload(
                 ops.append(ClientOp("delete", key))
         streams.append(ops)
 
-    # the scratch run: same construction as every replay, so the
-    # serialized commit order is exactly what the campaign re-executes
+    # the scratch run: same construction as the campaign's harness, so
+    # the serialized commit order is exactly what the campaign re-executes
     scratch = make_harness(spec, prefill)
     result = run_concurrent(scratch.table, streams, seed=spec.seed)
     if not result.ok or not all(r.ok for r in result.committed):
@@ -376,8 +376,9 @@ class _GrownBuilt:
 def make_harness(
     spec: CrashMatrixSpec, prefill: dict[bytes, bytes]
 ) -> TableCampaignHarness | ShardedCampaignHarness:
-    """Build one fresh, pre-filled harness for ``spec`` (the replay
-    factory — every crash point reconstructs state through here)."""
+    """Build one fresh, pre-filled harness for ``spec`` (the campaign
+    factory — a campaign calls it once and forks the result for every
+    crash point)."""
     harness: TableCampaignHarness | ShardedCampaignHarness
     if spec.grow:
         if spec.scheme != "group" or spec.backend != "raw" or spec.n_shards:

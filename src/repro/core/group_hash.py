@@ -98,12 +98,12 @@ class GroupHashTable(PersistentHashTable):
     def capacity(self) -> int:
         return 2 * (self.n_cells // 2)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        codec, layout = self.codec, self.layout
-        for i in range(layout.n_cells_level):
-            yield layout.tab1_addr(codec, i)
-        for i in range(layout.n_cells_level):
-            yield layout.tab2_addr(codec, i)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        layout = self.layout
+        return (
+            (layout.tab1_base, layout.n_cells_level),
+            (layout.tab2_base, layout.n_cells_level),
+        )
 
     @property
     def n_lock_stripes(self) -> int:
@@ -553,15 +553,20 @@ class GroupHashTable(PersistentHashTable):
         persistent image (a non-zero one is a torn write recovery should
         have reset)."""
         problems = super().integrity_violations()
-        spec = self.spec
-        zero_kv = bytes(spec.item_size)
-        region = self.region
-        for addr in self._iter_cell_addrs():
-            raw = region.peek_persistent(addr, HEADER_SIZE + spec.item_size)
-            if not raw[0] & OCCUPIED_BIT and raw[HEADER_SIZE:] != zero_kv:
-                problems.append(
-                    f"unoccupied cell at {addr} holds non-zero key-value bytes"
-                )
+        size = self.codec.cell_size
+        item_end = HEADER_SIZE + self.spec.item_size
+        zero_kv = bytes(self.spec.item_size)
+        for base, n in self._cell_arrays():
+            cells = self.region.peek_persistent(base, n * size)
+            for off in range(0, n * size, size):
+                if (
+                    not cells[off] & OCCUPIED_BIT
+                    and cells[off + HEADER_SIZE : off + item_end] != zero_kv
+                ):
+                    problems.append(
+                        f"unoccupied cell at {base + off} holds non-zero "
+                        "key-value bytes"
+                    )
         return problems
 
     def level_occupancy(self) -> tuple[int, int]:

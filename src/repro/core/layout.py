@@ -45,6 +45,10 @@ class GroupLayout:
                 f"{self.n_cells_level}"
             )
 
+    def __deepcopy__(self, memo) -> "GroupLayout":
+        """Immutable: a copy is the same object."""
+        return self
+
     @property
     def n_groups(self) -> int:
         """Number of groups in each level (equal by construction)."""

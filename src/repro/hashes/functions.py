@@ -103,8 +103,11 @@ class HashFamily:
 
     def __init__(self, seed: int = 0x5EED) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
         self._params: dict[int, tuple[int, int]] = {}
+
+    def __deepcopy__(self, memo) -> "HashFamily":
+        """Shared, not copied: members are pure functions of the seed."""
+        return self
 
     def _param(self, index: int) -> tuple[int, int]:
         params = self._params.get(index)

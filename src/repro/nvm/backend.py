@@ -31,6 +31,7 @@ reaches identical persistent states — the parity property pinned by
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -364,17 +365,39 @@ class RawBackend:
         # lets read/write/persist skip two attribute tests per event.
         self._slow = False
         self._observers = ObserverList()
-        # Vectorized-scan views over the volatile image. numpy views
-        # share memory with the bytearray (crash()'s in-place reset
-        # keeps them valid). Short scans, masks beyond the header's low
-        # byte and misaligned geometry take the scalar loops instead,
-        # with identical results and event counts.
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Vectorized-scan views over the volatile image. numpy views
+        share memory with the bytearray (crash()'s in-place reset keeps
+        them valid). Short scans, masks beyond the header's low byte and
+        misaligned geometry take the scalar loops instead, with
+        identical results and event counts."""
         self._np_u8 = np.frombuffer(self._volatile, dtype=np.uint8)
         self._np_u64 = (
-            np.frombuffer(self._volatile, dtype="<u8", count=size // 8)
-            if size >= 8
+            np.frombuffer(self._volatile, dtype="<u8", count=self.size // 8)
+            if self.size >= 8
             else None
         )
+
+    def __deepcopy__(self, memo) -> "RawBackend":
+        """Fork the backend: both images, the dirty set, the stats and
+        the allocator are copied; observers and an armed crash are not.
+        The fork keeps this instance's class and gets scan views over
+        its own volatile image (copied views would read stale bytes)."""
+        fork = copy.copy(self)
+        memo[id(self)] = fork
+        fork._persistent = bytearray(self._persistent)
+        fork._volatile = bytearray(self._volatile)
+        fork._dirty = set(self._dirty)
+        fork.stats = copy.copy(self.stats)
+        fork.allocations = list(self.allocations)
+        fork._observers = ObserverList()
+        fork._hook = None
+        fork._crash_countdown = None
+        fork._slow = False
+        fork._bind_views()
+        return fork
 
     def observe(self, fn: Callable[[str, int, int], None]) -> ObserverHandle:
         """Observe every store/flush/fence — same contract as

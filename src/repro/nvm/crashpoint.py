@@ -5,9 +5,9 @@ The hypothesis fuzz in :mod:`tests` samples *random* crash points and
 samples forever. This module makes the paper's consistency claim an
 enumerable property instead: record the program-order persistence event
 log (``write``/``flush``/``fence``) of a deterministic workload, then
-**replay the workload once per crash boundary** — before every event,
-plus the run-to-completion point — inject a power failure there, run the
-scheme's recovery, and check three oracles against a shadow dict:
+**power-fail it at every crash boundary** — before every event, plus the
+run-to-completion point — run the scheme's recovery, and check three
+oracles against a shadow dict:
 
 - **invariant** — the structure itself is sound after recovery
   (:meth:`~repro.tables.base.PersistentHashTable.integrity_violations`:
@@ -32,8 +32,15 @@ seeded pseudo-random subsets. Everything is a pure function of the
 workload and the seed, so a failing cell replays bit-identically and the
 first failing boundary *is* the minimal failing event prefix.
 
+No boundary re-runs the workload from scratch. A campaign builds its
+harness once and advances it op by op; a boundary inside op ``i`` is
+reached by forking (``copy.deepcopy``) the harness at the op's start
+and replaying only op ``i`` until the armed crash fires, so the
+in-flight op unwinds exactly as it would on real hardware. That
+pre-crash state is forked once more per survival schedule.
+
 The machinery is scheme-agnostic: campaigns drive a
-:class:`CrashHarness`, a thin adapter built fresh for every replay.
+:class:`CrashHarness`, a thin deep-copyable adapter over one table.
 :mod:`repro.bench.experiments.crashmatrix` supplies harnesses for every
 table scheme and for :class:`~repro.core.sharded.ShardedTable` per-shard
 crash domains, and runs campaign cells through the bench engine.
@@ -41,9 +48,10 @@ crash domains, and runs campaign cells through the bench engine.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.nvm.backend import MemoryBackend
 from repro.nvm.crash import CrashSchedule
@@ -167,11 +175,14 @@ class WordSubsetSchedule:
 
 
 class CrashHarness(Protocol):
-    """What a campaign needs from one scheme-under-test replay.
+    """What a campaign needs from one scheme under test.
 
-    A harness wraps a freshly built (and pre-filled) table; campaigns
-    construct one per replay via the factory passed to
-    :func:`run_campaign`, so no state leaks between crash points.
+    A harness wraps a built (and pre-filled) table. :func:`run_campaign`
+    calls its factory once and forks the result with ``copy.deepcopy``
+    for every crash point and schedule, so a harness must be
+    deep-copyable into a fully independent copy — backends fork their
+    images and drop observers (see ``RawBackend.__deepcopy__``) — and
+    no state leaks between crash points.
     """
 
     @property
@@ -251,7 +262,7 @@ class CampaignResult:
     #: concurrent with another client's in-flight op (0 for
     #: single-client workloads)
     concurrent_points: int = 0
-    #: (boundary, schedule) replays actually executed
+    #: (boundary, schedule) pairs crashed, recovered and checked
     replays: int = 0
     violations: list[Violation] = field(default_factory=list)
     #: flight-recorder dump trimmed to the minimal failing prefix —
@@ -497,31 +508,57 @@ def check_recovery(
     return violations
 
 
-def _replay(
-    factory: Callable[[], CrashHarness],
+def _events(backend: MemoryBackend) -> int:
+    """Persistence events the backend has executed so far (every store,
+    flush and fence is exactly one)."""
+    stats = backend.stats
+    return stats.writes + stats.flushes + stats.fences
+
+
+def _crash_points(
+    cursor: CrashHarness,
     ops: Sequence[Op | BatchOp],
-    event_index: int,
-    schedule: CrashSchedule,
-) -> tuple[CrashHarness, int, tuple[int, ...]]:
-    """Rebuild the harness, crash before event ``event_index``, and
-    power-fail with ``schedule``. Returns the harness (post-crash,
-    pre-recovery), the in-flight op index (-1 = none) and the dirty
-    word offsets at the boundary."""
-    harness = factory()
-    backend = harness.crash_backend
-    backend.arm_crash(event_index)
-    inflight = -1
-    try:
-        for i, op in enumerate(ops):
-            inflight = i
-            harness.apply(op)
-            inflight = -1
-    except SimulatedPowerFailure:
-        pass
-    backend.disarm_crash()
-    dirty = dirty_word_offsets(backend)
-    harness.crash(schedule)
-    return harness, inflight, dirty
+    trace: WorkloadTrace,
+    n_points: int,
+) -> Iterator[tuple[int, int, CrashHarness]]:
+    """Yield ``(event_index, inflight op, harness)`` for crash boundaries
+    ``1..n_points`` in program order; each harness is power-failed
+    before event ``event_index`` but not yet crashed.
+
+    ``cursor`` (the freshly built harness) advances one op at a time.
+    A boundary inside op ``i`` forks the cursor at the op's start, arms
+    the crash relative to it and replays only op ``i``; the
+    run-to-completion boundary yields the cursor after the last op.
+    Raises ``RuntimeError`` when the cursor or a fork strays from the
+    recorded trace (a non-deterministic harness)."""
+    start = 0
+    for i, op in enumerate(ops):
+        end = trace.op_end_events[i]
+        for event_index in range(start + 1, min(end, n_points) + 1):
+            fork = copy.deepcopy(cursor)
+            fork.crash_backend.arm_crash(event_index - start)
+            try:
+                fork.apply(op)
+            except SimulatedPowerFailure:
+                yield event_index, i, fork
+                continue
+            raise RuntimeError(
+                f"non-deterministic replay: boundary {event_index} did not "
+                f"fire inside op {i}, whose recorded events end at {end}"
+            )
+        if end >= n_points:
+            return
+        before = _events(cursor.crash_backend)
+        cursor.apply(op)
+        executed = _events(cursor.crash_backend) - before
+        if executed != end - start:
+            raise RuntimeError(
+                f"non-deterministic replay: op {i} executed {executed} "
+                f"events but the recorded trace says {end - start}"
+            )
+        start = end
+    if n_points > trace.n_events:
+        yield trace.n_events + 1, -1, cursor
 
 
 def run_campaign(
@@ -536,12 +573,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Enumerate every crash boundary of the ``ops`` workload.
 
-    ``factory`` must build an identical, deterministic harness each
-    call (table constructed and pre-filled with ``prefill``). For each
-    boundary ``k`` in ``1..n_events`` (crash fires before event ``k``)
-    plus the run-to-completion point, the workload is replayed once per
-    enumerated survival schedule; after each crash the harness recovers
-    and the oracles run. ``max_points`` truncates the boundary sweep
+    ``factory`` is called once: it builds the harness (table constructed
+    and pre-filled with ``prefill``), which must be deterministic and
+    deep-copyable. The recording runs on a fork of it. For each boundary
+    ``k`` in ``1..n_events`` (crash fires before event ``k``) plus the
+    run-to-completion point, the pre-crash state comes from
+    :func:`_crash_points` and is forked once per enumerated survival
+    schedule; each fork is crashed with its schedule, recovers, and the
+    oracles run. ``max_points`` truncates the boundary sweep
     (diagnostics only — a truncated campaign proves nothing about the
     boundaries it skipped).
 
@@ -551,39 +590,34 @@ def run_campaign(
     lands in :attr:`CampaignResult.failure_context`, so the report that
     carries the minimal failing prefix also carries the last recorded
     ops leading into it."""
-    trace = record_trace(factory(), ops, recorder=recorder)
+    cursor = factory()
+    trace = record_trace(copy.deepcopy(cursor), ops, recorder=recorder)
     states = shadow_states(ops, base=prefill)
     result = CampaignResult(trace=trace, n_ops=len(ops))
-    boundaries = range(1, trace.n_events + 2)
-    for event_index in boundaries:
-        if max_points is not None and result.points >= max_points:
-            break
+    n_points = trace.n_events + 1
+    if max_points is not None:
+        n_points = min(n_points, max_points)
+    for event_index, inflight, pre_crash in _crash_points(cursor, ops, trace, n_points):
         result.points += 1
         if trace.in_split_window(event_index):
             result.split_points += 1
         if trace.in_concurrent_window(event_index):
             result.concurrent_points += 1
-        # first replay discovers the boundary's dirty words (drop-all)
-        harness, inflight, dirty = _replay(
-            factory, ops, event_index, WordSubsetSchedule(frozenset())
-        )
         schedules = enumerate_schedules(
-            dirty, budget=subset_budget, seed=seed, event_index=event_index
+            dirty_word_offsets(pre_crash.crash_backend),
+            budget=subset_budget,
+            seed=seed,
+            event_index=event_index,
         )
+        completed = trace.completed_ops(event_index - 1)
+        inflight_op = ops[inflight] if inflight >= 0 else None
         for i, (schedule_id, schedule) in enumerate(schedules):
-            if i > 0:
-                harness, inflight, _ = _replay(factory, ops, event_index, schedule)
+            # the last schedule consumes the pre-crash state itself
+            last = i == len(schedules) - 1
+            harness = pre_crash if last else copy.deepcopy(pre_crash)
+            harness.crash(schedule)
             result.replays += 1
             harness.recover()
-            executed = min(event_index - 1, trace.n_events)
-            completed = trace.completed_ops(executed)
-            if inflight >= 0 and inflight != completed:
-                raise RuntimeError(
-                    f"non-deterministic replay: boundary {event_index} fired "
-                    f"inside op {inflight} but the recorded trace says "
-                    f"{completed} ops had completed"
-                )
-            inflight_op = ops[inflight] if inflight >= 0 else None
             result.violations.extend(
                 check_recovery(
                     harness.snapshot(),

@@ -18,6 +18,7 @@ only charges its cost. Crash semantics are delegated to a
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 
@@ -218,6 +219,28 @@ class NVMRegion:
         # from _prev_line, which is prefetcher state and must NOT be
         # cleared on invalidation.
         self._fast_line = -1
+
+    def __deepcopy__(self, memo) -> "NVMRegion":
+        """Fork the region: both images, the cache state, the stats, the
+        allocator, the wear counters and a subclass's own attributes are
+        copied; observers and an armed crash are not. The fork keeps
+        this instance's class, so a per-instance subclass (a tracer's)
+        follows it."""
+        fork = copy.copy(self)
+        memo[id(self)] = fork
+        fork._persistent = bytearray(self._persistent)
+        fork._volatile = bytearray(self._volatile)
+        fork.cache = copy.deepcopy(self.cache, memo)
+        fork.stats = copy.copy(self.stats)
+        fork.allocations = list(self.allocations)
+        fork.wear = copy.deepcopy(self.wear, memo)
+        fork._observers = ObserverList()
+        fork._hook = None
+        fork._crash_countdown = None
+        extra = getattr(self, "__dict__", None)
+        if extra:
+            fork.__dict__.update(copy.deepcopy(extra, memo))
+        return fork
 
     # ------------------------------------------------------------------
     # allocation

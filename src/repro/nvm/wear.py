@@ -65,6 +65,15 @@ class WearMap:
         self._dispatch: Callable[[int], None] | None = None
         self._observers = ObserverList()
 
+    def __deepcopy__(self, memo) -> "WearMap":
+        """A fork: the counters are copied, the observers are not."""
+        fork = WearMap.__new__(WearMap)
+        fork.line_size = self.line_size
+        fork._counts = self._counts.copy()
+        fork._dispatch = None
+        fork._observers = ObserverList()
+        return fork
+
     def observe(self, fn: Callable[[int], None]) -> ObserverHandle:
         """Call ``fn(line)`` for every recorded medium write until the
         handle is closed — how the window sampler feeds its wear-heat

@@ -215,9 +215,16 @@ class PersistentHashTable(abc.ABC):
         return (h(key) % self.n_lock_stripes,)
 
     @abc.abstractmethod
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        """``(base address, n_cells)`` of every packed cell array the
+        scheme owns (all levels, buckets, stash...), in scan order."""
+
     def _iter_cell_addrs(self) -> Iterator[int]:
-        """Yield the address of every cell the scheme owns (all levels,
-        buckets, stash...). Used by recovery scans and test inventories."""
+        """Yield the address of every cell the scheme owns, array by
+        array. Used by recovery scans and test inventories."""
+        size = self.codec.cell_size
+        for base, n in self._cell_arrays():
+            yield from range(base, base + n * size, size)
 
     # ------------------------------------------------------------------
     # shared commit discipline
@@ -380,14 +387,20 @@ class PersistentHashTable(abc.ABC):
     # test/debug inventory (reads the volatile view without charging costs)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        """Yield all stored ``(key, value)`` pairs. Free of simulation
-        cost; intended for assertions, not for workload code."""
-        spec, region = self.spec, self.region
-        for addr in self._iter_cell_addrs():
-            header = region.peek_volatile(addr, HEADER_SIZE)
-            if header[0] & OCCUPIED_BIT:
-                kv = region.peek_volatile(addr + HEADER_SIZE, spec.item_size)
-                yield kv[: spec.key_size], kv[spec.key_size :]
+        """Yield all stored ``(key, value)`` pairs in cell order. Free of
+        simulation cost (one volatile peek per cell array, decoded
+        locally); intended for assertions, not for workload code."""
+        size = self.codec.cell_size
+        key_end = HEADER_SIZE + self.spec.key_size
+        item_end = HEADER_SIZE + self.spec.item_size
+        for base, n in self._cell_arrays():
+            cells = self.region.peek_volatile(base, n * size)
+            for off in range(0, n * size, size):
+                if cells[off] & OCCUPIED_BIT:
+                    yield (
+                        cells[off + HEADER_SIZE : off + key_end],
+                        cells[off + key_end : off + item_end],
+                    )
 
     def check_count(self) -> bool:
         """Whether the persistent count matches actual occupancy

@@ -47,6 +47,10 @@ class ItemSpec:
         """Payload bytes per item (the paper's quoted item size)."""
         return self.key_size + self.value_size
 
+    def __deepcopy__(self, memo) -> "ItemSpec":
+        """Immutable: a copy is the same object."""
+        return self
+
 
 class CellCodec:
     """Address arithmetic and field access for packed cells."""
@@ -59,6 +63,10 @@ class CellCodec:
         #: naturally aligned for the atomic commit store
         self.cell_size = -(-(HEADER_SIZE + spec.item_size) // 8) * 8
         self._empty_kv = bytes(spec.item_size)
+
+    def __deepcopy__(self, memo) -> "CellCodec":
+        """Immutable: a copy is the same object."""
+        return self
 
     def addr(self, base: int, index: int) -> int:
         """Byte address of cell ``index`` in an array starting at ``base``."""

@@ -197,10 +197,10 @@ class ChainedHashTable(PersistentHashTable):
     # ------------------------------------------------------------------
     # inventory (chains, not cells)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
         # Chained nodes have no occupancy headers; recovery and item
         # inventory walk the chains instead.
-        return iter(())
+        return ()
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         region, spec = self.region, self.spec

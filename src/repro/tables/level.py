@@ -26,8 +26,6 @@ in the reproduced paper).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.nvm.backend import MemoryBackend
 from repro.nvm.memory import CACHELINE
 from repro.tables.base import PersistentHashTable
@@ -85,11 +83,11 @@ class LevelHashTable(PersistentHashTable):
     def _bottom_addr(self, bucket: int, slot: int) -> int:
         return self.codec.addr(self._bottom_base, bucket * self.bucket_size + slot)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        for i in range(self.n_top * self.bucket_size):
-            yield self.codec.addr(self._top_base, i)
-        for i in range(self.n_bottom * self.bucket_size):
-            yield self.codec.addr(self._bottom_base, i)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        return (
+            (self._top_base, self.n_top * self.bucket_size),
+            (self._bottom_base, self.n_bottom * self.bucket_size),
+        )
 
     def _candidate_buckets(self, key: bytes):
         """The four bucket scans of level hashing: two top, two bottom

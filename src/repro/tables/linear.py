@@ -16,8 +16,6 @@ leaves a duplicated or lost item — the motivating inconsistency for the
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.nvm.backend import MemoryBackend
 from repro.nvm.memory import CACHELINE
 from repro.tables.base import PersistentHashTable
@@ -56,9 +54,8 @@ class LinearProbingTable(PersistentHashTable):
     def _addr(self, index: int) -> int:
         return self.codec.addr(self._base, index)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        for i in range(self.n_cells):
-            yield self._addr(i)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        return ((self._base, self.n_cells),)
 
     # ------------------------------------------------------------------
 

@@ -85,10 +85,11 @@ class PathHashingTable(PersistentHashTable):
     def _cell_addr(self, level: int, pos: int) -> int:
         return self.codec.addr(self._level_bases[level], pos)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        for level in range(self.reserved_levels):
-            for pos in range(self._level_sizes[level]):
-                yield self._cell_addr(level, pos)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (self._level_bases[level], self._level_sizes[level])
+            for level in range(self.reserved_levels)
+        )
 
     def _path_cells(self, key: bytes) -> Iterator[int]:
         """Yield candidate cell addresses: both positions per level,

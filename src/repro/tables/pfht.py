@@ -20,8 +20,6 @@ is not crash-atomic — hence the ``PFHT-L`` logged variant.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.nvm.backend import MemoryBackend
 from repro.nvm.memory import CACHELINE
 from repro.tables.base import PersistentHashTable
@@ -77,11 +75,11 @@ class PFHTTable(PersistentHashTable):
     def _stash_addr(self, slot: int) -> int:
         return self.codec.addr(self._stash_base, slot)
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        for i in range(self.n_buckets * self.bucket_size):
-            yield self.codec.addr(self._base, i)
-        for i in range(self.stash_cells):
-            yield self._stash_addr(i)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        return (
+            (self._base, self.n_buckets * self.bucket_size),
+            (self._stash_base, self.stash_cells),
+        )
 
     # ------------------------------------------------------------------
 

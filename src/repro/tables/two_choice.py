@@ -10,8 +10,6 @@ other schemes.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.nvm.backend import MemoryBackend
 from repro.nvm.memory import CACHELINE
 from repro.tables.base import PersistentHashTable
@@ -48,9 +46,8 @@ class TwoChoiceTable(PersistentHashTable):
         n = self.n_cells
         return self._h1(key) % n, self._h2(key) % n
 
-    def _iter_cell_addrs(self) -> Iterator[int]:
-        for i in range(self.n_cells):
-            yield self.codec.addr(self._base, i)
+    def _cell_arrays(self) -> tuple[tuple[int, int], ...]:
+        return ((self._base, self.n_cells),)
 
     def insert(self, key: bytes, value: bytes) -> bool:
         codec, region = self.codec, self.region

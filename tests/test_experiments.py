@@ -120,6 +120,31 @@ def test_cli_runs_one_experiment(capsys):
     assert "simulated ns" in out
 
 
+def test_cli_writes_cell_timelines_beside_the_json_dump(tmp_path, monkeypatch):
+    import json
+
+    from repro.bench import __main__ as cli
+    from repro.bench.experiments import ExperimentResult
+
+    cells = [{"spec": {"n": n}, "ops": n, "timeline": {"w": [n]}} for n in (1, 2)]
+    monkeypatch.setitem(
+        cli.EXPERIMENTS,
+        "serving",
+        lambda scale, seed, engine: ExperimentResult(
+            "serving", "stub", data={"cells": cells, "ok": True}
+        ),
+    )
+    out = tmp_path / "bench_serving.json"
+    assert cli.main(["serving", "--quick", "--no-cache", "--json", str(out)]) == 0
+    dump = json.loads(out.read_text())["serving"]
+    assert dump["cells"] == [{"spec": {"n": 1}, "ops": 1}, {"spec": {"n": 2}, "ops": 2}]
+    sidecar = json.loads((tmp_path / "bench_serving.timeline.json").read_text())
+    assert sidecar == [
+        {"spec": {"n": 1}, "timeline": {"w": [1]}},
+        {"spec": {"n": 2}, "timeline": {"w": [2]}},
+    ]
+
+
 def test_cli_rejects_unknown_experiment():
     from repro.bench.__main__ import main
 
